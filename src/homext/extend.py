@@ -90,14 +90,24 @@ def _block_terms(x: Sequence) -> list[tuple[object, int]]:
     return terms
 
 
+def _zero_of(x: Sequence):
+    """The value of an extension at a zero block x: 0.0 for float
+    coordinates, the exact 0 for int and Fraction ones (the type of the
+    first coordinate decides)."""
+    return 0.0 if isinstance(x[0], float) else 0
+
+
 def lovasz(f: SetTupleFunction, x: Sequence):
     """Original Lovasz extension of a one-argument set function."""
     if f.k != 1:
         raise ValueError("lovasz expects a one-argument set function")
     if len(x) != f.n:
         raise ValueError(f"expected {f.n} coordinates, got {len(x)}")
+    terms = _block_terms(x)
+    if not terms:                    # x = 0
+        return _zero_of(x)
     total = 0
-    for w, mask in _block_terms(x):
+    for w, mask in terms:
         total += w * f(mask)
     return total
 
@@ -138,12 +148,12 @@ def multilinear(f: SetTupleFunction, xs: Sequence[Sequence]):
         idx = 0
         for terms in blocks:
             if not terms:            # a zero block: the extension vanishes
-                return 0
+                return _zero_of(xs[blocks.index(())])
             (wi, mask), = terms
             w = w * wi
             idx = (idx << n) | mask
-        if w == 0:
-            return 0
+        if w == 0:                   # float weights that underflowed
+            return 0.0
         if table is not None:
             val = table[idx]
         else:
@@ -152,6 +162,8 @@ def multilinear(f: SetTupleFunction, xs: Sequence[Sequence]):
         if type(w) is int and w == 1 and type(val) in _UNIT_INVARIANT:
             return val
         return w * val
+    if not all(blocks):
+        return _zero_of(xs[blocks.index(())])
     total = 0
     for combo in product(*blocks):
         w = 1

@@ -6,9 +6,29 @@ few hundred nonzeros, so a dense tableau is the simplest reliable choice.
 
 Pricing is Dantzig's rule with ties broken by column index and the ratio
 test prefers the largest pivot element; after a long stall the iteration
-switches to Bland's rule, which cannot cycle.  Every reported optimum is
-validated against the original data and re-solved in pure Bland mode if
-the validation fails.
+switches to Bland's rule, which cannot cycle.  A pivot updates every row
+with a nonzero pivot-column entry in one outer-product step.
+
+``solve_standard`` checks its "optimal" and "infeasible" verdicts
+against the original (unscaled) data; "unbounded" is taken as found:
+
+* an optimum is accepted when x >= -1e-9 and |A x - b| <= 1e-7 * atol
+  with atol = max(1, |b|_inf);
+* "infeasible" is accepted with a Farkas certificate: when phase 1 ends
+  optimal with a positive artificial sum, its duals y_i = 1 - T[m, n+i],
+  divided by the row scale, must satisfy y.A <= PIVOT_TOL * |y|_inf
+  entrywise and y.b > |y|_1 * 1e-7 * atol.  The second margin exceeds
+  what a residual the optimum check accepts can contribute to y.b, so
+  y.b = y.A x - y.(A x - b) rules out every accepted x >= 0 with
+  y.A x <= 0; with y.A <= 0 that is every x >= 0, and the PIVOT_TOL
+  slack admits only points with |x|_1 at least
+  (y.b - |y|_1 * 1e-7 * atol) / (PIVOT_TOL * |y|_inf).
+
+A verdict that fails its check, a stalled phase and a phase 1 that does
+not end optimal are solved again with Bland's rule throughout; a
+certified "infeasible" is not.  When neither pass gives a checked
+verdict the status is "numerical", which callers read as "no optimum"
+just as they read "infeasible".
 """
 
 from __future__ import annotations
@@ -25,17 +45,21 @@ STALL_LIMIT = 200
 
 @dataclass
 class LPResult:
-    status: str          # "optimal" | "infeasible" | "unbounded"
+    status: str          # "optimal" | "infeasible" | "unbounded" | "numerical"
     x: Optional[np.ndarray]
     objective: Optional[float]
+    # phase-1 duals of an "infeasible" verdict; from solve_standard, the
+    # checked Farkas certificate on the caller's rows A, b (from linprog,
+    # on the standard form it builds)
+    certificate: Optional[np.ndarray] = None
 
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    rows = colv.nonzero()[0]
+    T[rows] -= np.multiply.outer(colv[rows], T[row])
     basis[row] = col
 
 
@@ -52,10 +76,9 @@ def _iterate(T, basis, ncols, bland: bool):
             return "stalled"
         col = -1
         if use_bland:
-            for j in range(ncols):
-                if T[m, j] < -PIVOT_TOL:
-                    col = j
-                    break
+            neg = (T[m, :ncols] < -PIVOT_TOL).nonzero()[0]
+            if neg.size:
+                col = int(neg[0])
         else:
             j = int(np.argmin(T[m, :ncols]))
             if T[m, j] < -PIVOT_TOL:
@@ -65,10 +88,12 @@ def _iterate(T, basis, ncols, bland: bool):
         row = -1
         best = np.inf
         best_piv = 0.0
+        colv = T[:m, col].tolist()
+        rhs = T[:m, -1].tolist()
         for i in range(m):
-            a = T[i, col]
+            a = colv[i]
             if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
+                ratio = rhs[i] / a
                 better = ratio < best - 1e-12
                 tie = abs(ratio - best) <= 1e-12
                 if better or (tie and not use_bland and a > best_piv) \
@@ -80,6 +105,9 @@ def _iterate(T, basis, ncols, bland: bool):
 
 
 def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
+    """One two-phase solve, unchecked.  "infeasible" means phase 1 ended
+    optimal with a positive artificial sum and carries its duals;
+    "numerical" means a phase stalled or phase 1 did not end optimal."""
     m, n = A.shape
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -89,8 +117,10 @@ def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     status = _iterate(T, basis, n + m, bland)
-    if status != "optimal" or -T[m, -1] > FEAS_TOL:
-        return LPResult("infeasible", None, None)
+    if status != "optimal":
+        return LPResult("numerical", None, None)
+    if -T[m, -1] > FEAS_TOL:
+        return LPResult("infeasible", None, None, 1.0 - T[m, n:n + m])
 
     for i in range(m):          # drive artificials out of the basis
         if basis[i] >= n:
@@ -109,7 +139,7 @@ def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
         T2[-1] -= T2[-1, bi] * T2[i]
     status = _iterate(T2, basis2, n, bland)
     if status == "stalled":
-        return LPResult("infeasible", None, None)
+        return LPResult("numerical", None, None)
     if status != "optimal":
         return LPResult(status, None, None)
     x = np.zeros(n)
@@ -121,8 +151,9 @@ def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
 def solve_standard(c, A, b) -> LPResult:
     """min c.x  s.t.  A x = b, x >= 0.
 
-    Rows are equilibrated, the solve is validated against the original
-    data, and an invalid solve is repeated with Bland's rule throughout.
+    Rows are equilibrated, "optimal" and "infeasible" are checked
+    against the original data (see the module docstring), and a verdict
+    that fails its check is solved again with Bland's rule throughout.
     """
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -138,14 +169,18 @@ def solve_standard(c, A, b) -> LPResult:
     atol = max(1.0, np.abs(b).max())
     for bland in (False, True):
         res = _solve_standard_once(c, As, bs, bland)
-        if res.status != "optimal":
-            if res.status == "unbounded":
-                return res
-            continue
-        if np.all(res.x >= -1e-9) and \
-                np.max(np.abs(A @ res.x - b)) <= 1e-7 * atol:
+        if res.status == "unbounded":
             return res
-    return LPResult("infeasible", None, None)
+        if res.status == "optimal":
+            if np.all(res.x >= -1e-9) and \
+                    np.max(np.abs(A @ res.x - b)) <= 1e-7 * atol:
+                return res
+        elif res.status == "infeasible":
+            y = res.certificate / scale
+            if np.all(y @ A <= PIVOT_TOL * np.abs(y).max()) and \
+                    y @ b > np.abs(y).sum() * 1e-7 * atol:
+                return LPResult("infeasible", None, None, np.where(neg, -y, y))
+    return LPResult("numerical", None, None)
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,

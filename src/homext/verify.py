@@ -68,6 +68,9 @@ class VerificationReport:
                 return float(v)
             if isinstance(v, np.ndarray):
                 return [float(t) for t in v]
+            if isinstance(v, (list, tuple)):
+                items = [conv(t) for t in v]
+                return items if isinstance(v, list) else tuple(items)
             return v
         out = {
             "check_id": self.check_id, "anchor": self.anchor,
@@ -156,25 +159,36 @@ class TwoBlockMinimax:
     def __init__(self, f: SetTupleFunction, g: SetTupleFunction):
         if f.k != 2 or g.k != 2:
             raise ValueError("two-block minimax expects k = 2 functions")
-        self.n = f.n
-        self.m = f.n
         # allow distinct block sizes via rectangular tables
-        self.fv = [[float(f(a, b)) for b in range(1 << f.n)] for a in range(1 << f.n)]
-        self.gv = [[float(g(a, b)) for b in range(1 << g.n)] for a in range(1 << g.n)]
+        self._set_tables(
+            [[float(f(a, b)) for b in range(1 << f.n)] for a in range(1 << f.n)],
+            [[float(g(a, b)) for b in range(1 << g.n)] for a in range(1 << g.n)],
+            f.n, f.n)
 
     @classmethod
     def from_tables(cls, fvals, gvals, n, m):
         obj = cls.__new__(cls)
-        obj.n, obj.m = n, m
-        obj.fv, obj.gv = fvals, gvals
+        obj._set_tables(fvals, gvals, n, m)
         return obj
+
+    def _set_tables(self, fv, gv, n, m):
+        """Store the tables and what every probe reads from them: the
+        transposed tables and whether either block is globally linear."""
+        self.n, self.m = n, m
+        self.fv, self.gv = fv, gv
+        self.fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        self.gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        self.linear_first = (_is_modular_zero_side(fv, n, m)
+                             and _is_modular_zero_side(gv, n, m))
+        self.linear_second = (_is_modular_zero_side(self.fT, m, n)
+                              and _is_modular_zero_side(self.gT, m, n))
 
     def _feasible_infsup(self, t: float) -> bool:
         """exists x >= 0 nonzero with f^Q(x, 1_B) - t g^Q(x, 1_B) <= 0 for
         every nonempty B."""
         n, m = self.n, self.m
         bs = range(1, 1 << m)
-        if _is_modular_zero_side(self.fv, n, m) and _is_modular_zero_side(self.gv, n, m):
+        if self.linear_first:
             rows = [[self.fv[1 << i][b] - t * self.gv[1 << i][b] for i in range(n)]
                     for b in bs]
             return _simplex_feasible(rows)
@@ -191,10 +205,9 @@ class TwoBlockMinimax:
         """exists y >= 0 nonzero with f^Q(1_A, y) - t g^Q(1_A, y) >= 0 for
         every nonempty A."""
         n, m = self.n, self.m
-        fT = [[self.fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
-        gT = [[self.gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        fT, gT = self.fT, self.gT
         a_range = range(1, 1 << n)
-        if _is_modular_zero_side(fT, m, n) and _is_modular_zero_side(gT, m, n):
+        if self.linear_second:
             rows = [[-(fT[1 << j][a] - t * gT[1 << j][a]) for j in range(m)]
                     for a in a_range]
             return _simplex_feasible(rows)

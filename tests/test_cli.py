@@ -158,6 +158,15 @@ def test_cmd_verify_structured(tmp_path, capsys):
     assert all(r["verdict"] == "pass" for r in data)
 
 
+def test_cmd_verify_structured_serializes_fraction_lists(capsys):
+    # bipartite-one-laplacian reports its spectra as lists of Fractions
+    rc = main(["verify", "--suite", "bipartite", "--format", "structured"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    rep, = [r for r in data if r["check_id"] == "bipartite-one-laplacian"]
+    assert rep["lhs"] == rep["rhs"] == ["0/1", "1/2", "1/1"]
+
+
 def test_cmd_verify_unknown_suite(capsys):
     with pytest.raises(KeyError):
         main(["verify", "--suite", "bogus"])

@@ -198,6 +198,25 @@ def test_multilinear_memo_keeps_coordinate_types():
                         assert isinstance(got, (int, Fraction)), (kind, xs, got)
 
 
+def test_zero_block_keeps_the_coordinate_type():
+    # a zero block makes the extension vanish: 0.0 for float coordinates,
+    # the exact 0 for int and Fraction ones
+    rng = np.random.default_rng(11)
+    exact = rand_table(rng, 2, 2)
+    floats = SetTupleFunction(2, 2, [float(exact(a, b)) for a in range(4) for b in range(4)])
+    lov = SetTupleFunction(2, 1, [0.0, 0.5, -1.5, 2.0])
+    for kind, zero_type in ((float, float), (int, int), (Fraction, int)):
+        zero = [kind(0), kind(0)]
+        for other in ([kind(3), kind(2)],            # two cells: the product path
+                      [kind(1), kind(1)]):           # one cell
+            for f in (exact, floats):
+                for xs in ([zero, other], [other, zero]):
+                    got = multilinear(f, xs)
+                    assert got == 0 and type(got) is zero_type, (kind, xs, got)
+        got = lovasz(lov, zero)
+        assert got == 0 and type(got) is zero_type, (kind, got)
+
+
 def test_multilinear_probe_cap_before_evaluation():
     calls = []
 

@@ -1,10 +1,14 @@
-"""LP kernel against a brute-force vertex-enumeration oracle."""
+"""LP kernel against a brute-force vertex-enumeration oracle, a reference
+row-loop pivot and, where installed, scipy's HiGHS."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
-from homext.simplex import linprog, lp_feasible, solve_standard
+from homext.simplex import (PIVOT_TOL, _pivot, _solve_standard_once, linprog,
+                            lp_feasible, solve_standard)
 
 
 def vertex_oracle(c, A_ub, b_ub):
@@ -93,3 +97,140 @@ def test_degenerate_cycling_guard():
     res = solve_standard(c, A, b)
     assert res.status == "optimal"
     assert np.isclose(res.objective, -0.05)
+
+
+# -- pivot, certificates and an outside oracle --------------------------------
+
+def _pivot_row_loop(T, basis, row, col):
+    """The per-row pivot that the vectorized _pivot replaced."""
+    T[row] /= T[row, col]
+    piv = T[row]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * piv
+    basis[row] = col
+
+
+def test_pivot_bitwise_equal_to_row_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(2, 14))
+        T = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-6, 7, size=(m, n))
+        T[rng.random((m, n)) < 0.3] = 0.0          # skipped rows
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        if T[row, col] == 0.0:
+            T[row, col] = rng.uniform(0.5, 2.0)
+        want, got = T.copy(), T.copy()
+        bw, bg = list(range(m)), list(range(m))
+        _pivot_row_loop(want, bw, row, col)
+        _pivot(got, bg, row, col)
+        assert want.tobytes() == got.tobytes() and bw == bg
+
+
+def _assert_certificate(res, A, b):
+    """The Farkas inequalities of a certified "infeasible" on A, b."""
+    y = res.certificate
+    A, b = np.asarray(A, float), np.asarray(b, float)
+    atol = max(1.0, np.abs(b).max())
+    assert np.all(y @ A <= PIVOT_TOL * np.abs(y).max())
+    assert y @ b > np.abs(y).sum() * 1e-7 * atol
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def test_standard_form_agrees_with_highs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def check(m, n, data):
+        ints = st.integers(-4, 4)
+        A = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), float)
+        b = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), float)
+        c = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), float)
+        res = solve_standard(c, A, b)
+        ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert res.status == HIGHS_STATUS[ref.status], (A, b, c, ref.message)
+        if res.status == "optimal":
+            assert np.isclose(res.objective, ref.fun, rtol=1e-7, atol=1e-7)
+            assert np.all(res.x >= -1e-9) and np.allclose(A @ res.x, b, atol=1e-7)
+        if res.status == "infeasible":
+            _assert_certificate(res, A, b)
+
+    check()
+
+
+def test_inequality_form_agrees_with_highs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.data())
+    def check(m, n, with_eq, data):
+        ints = st.integers(-5, 5)
+        A = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), float)
+        b = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), float)
+        c = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), float)
+        bounds = data.draw(st.lists(st.sampled_from([(0.0, 3.0), (-2.0, 2.0), (None, 1.0)]),
+                                    min_size=n, max_size=n))
+        A_eq, b_eq = (np.ones((1, n)), [1.0]) if with_eq else (None, None)
+        res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+        ref = optimize.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
+                               bounds=bounds, method="highs")
+        assert res.status == HIGHS_STATUS[ref.status], (A, b, c, bounds, ref.message)
+        if res.status == "optimal":
+            assert np.isclose(res.objective, ref.fun, rtol=1e-7, atol=1e-7)
+            assert np.all(A @ res.x <= b + 1e-7)
+
+    check()
+
+
+def _saddle_lps():
+    """Every standard-form LP of the bisections of the path P3 instance,
+    with solve_standard's verdict and the equilibrated data of its first
+    pass."""
+    from homext import simplex
+    from homext.setfn import SetTupleFunction, popcount
+    from homext.structures import WeightedGraph
+    from homext.verify import TwoBlockMinimax
+
+    f = WeightedGraph.path(3).ordered_edge_count()
+    g = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
+    once, solve = simplex._solve_standard_once, simplex.solve_standard
+    passes, lps = [], []
+
+    def record_once(c, A, b, bland):
+        passes.append((c, A, b))
+        return once(c, A, b, bland)
+
+    def record_solve(c, A, b):
+        passes.clear()
+        res = solve(c, A, b)
+        lps.append((np.array(A, float), np.array(b, float), res, len(passes), passes[0]))
+        return res
+
+    simplex._solve_standard_once = record_once
+    simplex.solve_standard = record_solve
+    try:
+        eng = TwoBlockMinimax(f, g)
+        eng.infsup(), eng.supinf()
+    finally:
+        simplex._solve_standard_once = once
+        simplex.solve_standard = solve
+    return lps
+
+
+def test_saddle_certified_infeasible_matches_bland_rerun():
+    lps = _saddle_lps()
+    certified = [lp for lp in lps if lp[2].status == "infeasible"]
+    assert certified and len(certified) < len(lps)
+    for A, b, res, n_passes, (c, As, bs) in certified:
+        assert n_passes == 1                         # no Bland rerun
+        _assert_certificate(res, A, b)
+        assert _solve_standard_once(c, As, bs, bland=True).status == "infeasible"
