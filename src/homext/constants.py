@@ -44,9 +44,19 @@ def _as_ratio(num, den):
     return num / den
 
 
-def _int_if_close(v: float):
-    r = int(round(v))
-    return r if abs(v - r) < 1e-9 else v
+def _vol_of(degrees: np.ndarray):
+    """mask |-> vol(mask) over degrees read once: the same left-to-right
+    sum over mask_members as WeightedGraph.vol and ChemicalHypergraph.vol,
+    which recompute the degrees on every call."""
+    d = degrees.tolist()
+
+    def vol(mask: int) -> float:
+        total = 0.0
+        for i in mask_members(mask):
+            total += d[i]
+        return total
+
+    return vol
 
 
 def cheeger(g: WeightedGraph) -> CheegerReport:
@@ -57,13 +67,14 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
     integral = np.allclose(g.W, np.round(g.W))
+    vol = _vol_of(g.degrees)
     best, arg = None, []
     total = full_mask(g.n)
     count = 0
     for a in range(1, total):
         count += 1
         cut = g.cut_weight(a)
-        den = min(g.vol(a), g.vol(total & ~a))
+        den = min(vol(a), vol(total & ~a))
         if integral:
             val = _as_ratio(int(round(cut)), int(round(den)))
         else:
@@ -101,12 +112,13 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
     if k > g.n:
         raise ValueError("k exceeds the vertex count")
     integral = np.allclose(g.W, np.round(g.W))
+    vol = _vol_of(g.degrees)
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, k):
         count += 1
         worst = None
         for b in blocks:
-            cut, den = g.cut_weight(b), g.vol(b)
+            cut, den = g.cut_weight(b), vol(b)
             val = _as_ratio(int(round(cut)), int(round(den))) if integral else cut / den
             if worst is None or val > worst:
                 worst = val
@@ -121,6 +133,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
     integral = np.allclose(g.W, np.round(g.W))
+    vol = _vol_of(g.degrees)
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, 2 * k):
         # blocks are canonically ordered; pair them in every way is costly,
@@ -131,7 +144,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
             worst = None
             for (a, b) in pairing:
                 num = 2 * g.edge_weight_between(a, b)
-                den = g.vol(a | b)
+                den = vol(a | b)
                 val = _as_ratio(int(round(num)), int(round(den))) if integral else num / den
                 if worst is None or val < worst:
                     worst = val
@@ -414,11 +427,12 @@ def chemical_cheeger(H: ChemicalHypergraph) -> CheegerReport:
     if H.n > CHEEGER_CAP:
         raise CapExceeded(f"chemical cheeger capped at n <= {CHEEGER_CAP}")
     total = full_mask(H.n)
+    vol = _vol_of(H.degrees)
     best, arg, count = None, [], 0
     for a in range(1, total):
         count += 1
         num = H.boundary_edges(a)
-        den = min(H.vol(a), H.vol(total & ~a))
+        den = min(vol(a), vol(total & ~a))
         if den == 0:
             continue
         val = Fraction(num, int(round(den)))

@@ -13,6 +13,7 @@ linear pairs, and the norm-duality checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -325,17 +326,32 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
     deg = H.degrees
     ins = [mask_members(e_in) for e_in, _ in H.edges]
     outs = [mask_members(e_out) for _, e_out in H.edges]
+    last = [None, None]                 # bytes of the last point, its terms
 
     def edge_terms(x):
+        """(argmax over e_in, argmin over e_out, difference) per edge, the
+        lowest index winning a tie.  The inner descent asks F and F_sub at
+        the same iterate, so the last point's terms are kept, keyed on its
+        exact bytes (+0.0 and -0.0 never share an entry)."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if last[0] == key:
+            return last[1]
+        xl = x.tolist()
+        at = xl.__getitem__
         out = []
         for I, O in zip(ins, outs):
-            imax = max(I, key=lambda i: (x[i], -i))
-            jmin = min(O, key=lambda j: (x[j], j))
-            out.append((imax, jmin, x[imax] - x[jmin]))
+            imax = max(I, key=at)       # members ascend: first max is lowest
+            jmin = min(O, key=at)
+            out.append((imax, jmin, xl[imax] - xl[jmin]))
+        last[:] = key, out
         return out
 
     def F(x):
-        return float(sum(abs(t) ** p for _, _, t in edge_terms(x)))
+        total = 0.0                     # left to right, never compensated
+        for _, _, t in edge_terms(x):
+            total += abs(t) ** p
+        return total
 
     def G(x):
         return float(sum(deg[i] * abs(x[i]) ** p for i in range(H.n)))
@@ -344,11 +360,12 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
         return abs(t) ** (p - 1) * np.sign(t)
 
     def F_sub(x):
-        g = np.zeros(H.n)
+        g = [0.0] * H.n
         for imax, jmin, t in edge_terms(x):
-            if p == 1.0 and t == 0:
-                continue
-            c = p * phi(t) if p > 1 else float(np.sign(t))
+            if t == 0:
+                continue                # c would be +-0.0 for every p
+            sign = 1.0 if t > 0 else -1.0
+            c = p * (abs(t) ** (p - 1) * sign) if p > 1 else sign
             g[imax] += c
             g[jmin] -= c
         return SubgradientSet(g)
@@ -361,22 +378,6 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
 
     return HomogeneousPair(p, F, G, F_sub, G_sub, tag="power-form",
                            data={"hypergraph": H})
-
-
-def tensor_pair(C: SymmetricTensor, D: SymmetricTensor) -> HomogeneousPair:
-    k = C.order
-
-    def F(x):
-        return C.full_form(np.asarray(x, dtype=float))
-
-    def G(x):
-        return D.full_form(np.asarray(x, dtype=float))
-
-    return HomogeneousPair(
-        float(k), F, G,
-        lambda x: SubgradientSet(k * C.apply(np.asarray(x, dtype=float))),
-        lambda x: SubgradientSet(k * D.apply(np.asarray(x, dtype=float))),
-        tag="tensor-form", data={"C": C, "D": D})
 
 
 def diagonal_tensor(k: int, n: int, weights=None) -> SymmetricTensor:
@@ -451,11 +452,25 @@ def eigen_residual(pair: HomogeneousPair, lam: float, x) -> float:
 # subspace projections G_Pi
 # ---------------------------------------------------------------------------
 
+def _same_float(a: float, b: float) -> bool:
+    """a and b are one float bit for bit (+0.0 and -0.0 differ)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def g_pi_projection(x, v, weights, p: float) -> tuple[float, float]:
     """Minimize sum_i w_i |x_i - t v_i|^p over t; returns (value, t*).
 
     Closed form for p = 2 (weighted mean), weighted median for p = 1,
-    ternary search on the convex objective otherwise.
+    ternary search on the convex objective otherwise.  The search starts
+    from the bracket [min, max] of x_i / v_i and takes at most 200 steps,
+    each evaluating both probes in one array call.  A step either keeps
+    the bracket or moves to a nested one, and it is a function of the
+    bracket alone.  So once a step leaves (lo, hi) unchanged bit for bit,
+    every later step does too, and stopping there returns exactly the
+    200-step result.  That fixed point comes when the bracket reaches the
+    float spacing around t*: after 90-156 steps in the Dinkelbach runs of
+    the cheeger-chemical checks, the most when t* is 0, as for a point
+    that is already projected.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -481,11 +496,17 @@ def g_pi_projection(x, v, weights, p: float) -> tuple[float, float]:
         return phi(t), t
     lo, hi = float(ratios.min()), float(ratios.max())
     for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        f1, f2 = np.add.reduce(w * np.abs(x - np.multiply.outer((m1, m2), v)) ** p,
+                               axis=1).tolist()
+        if f1 <= f2:
+            if _same_float(m2, hi):
+                break
             hi = m2
         else:
+            if _same_float(m1, lo):
+                break
             lo = m1
     t = 0.5 * (lo + hi)
     return phi(t), t
@@ -507,8 +528,12 @@ class SubspaceProjection:
 def projection_diag_power(weights, p: float, basis) -> SubspaceProjection:
     """Projection oracle for G(x) = sum w_i |x_i|^p along span(basis rows).
 
-    One dimension uses the closed forms; higher dimensions run cyclic
-    sweeps of one-dimensional minimizations (G convex, so this converges).
+    One dimension is one g_pi_projection call: closed forms for p = 1, 2,
+    else the ternary search, which stops at its fixed point, the first
+    step that leaves its bracket unchanged bit for bit.  Every later step
+    would repeat that one, so the result is the 200-step search's, bit
+    for bit.  Higher dimensions run cyclic sweeps of these one-dimensional
+    minimizations (G convex, so this converges).
     """
     B = np.asarray(basis, dtype=float)
     if B.ndim == 1:

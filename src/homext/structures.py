@@ -115,10 +115,6 @@ class WeightedGraph:
                 total += self.W[i, j]
         return total
 
-    def internal_weight(self, mask: int) -> float:
-        m = mask_members(mask)
-        return float(sum(self.W[i, j] for i, j in combinations(m, 2)))
-
     def components(self) -> list[int]:
         """Connected components as vertex masks."""
         seen = [False] * self.n
@@ -182,13 +178,6 @@ class WeightedGraph:
             return Fraction(int(round(v))) if exact else v
         return SetTupleFunction(self.n, 1, f)
 
-    def vol_function(self) -> SetTupleFunction:
-        exact = np.allclose(self.W, np.round(self.W))
-        def g(mask):
-            v = self.vol(mask)
-            return Fraction(int(round(v))) if exact else v
-        return SetTupleFunction(self.n, 1, g)
-
     def ordered_edge_count(self) -> SetTupleFunction:
         """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B."""
         exact = np.allclose(self.W, np.round(self.W))
@@ -214,10 +203,6 @@ class SignedGraph:
             raise ValueError("diagonal must be zero")
         self.W = W
         self.n = W.shape[0]
-
-    @property
-    def abs_graph(self) -> WeightedGraph:
-        return WeightedGraph(np.abs(self.W))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -266,9 +251,6 @@ class SignedGraph:
             else:
                 details.append((mask_of(comp), witness))
         return count, details
-
-    def signed_laplacian(self) -> np.ndarray:
-        return np.diag(self.degrees) - self.W
 
     def normalized_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(D - W, D) of the signed graph; eigenvalues of the normalized
@@ -429,14 +411,6 @@ def adjacency_tensor(n: int, hyperedges: Sequence[Sequence[int]], k: Optional[in
     return T
 
 
-def hyperedge_degrees(n: int, hyperedges: Sequence[Sequence[int]]) -> np.ndarray:
-    d = np.zeros(n)
-    for e in hyperedges:
-        for i in e:
-            d[i] += 1
-    return d
-
-
 def huang_signing(m: int) -> np.ndarray:
     """Recursive signing of the m-cube adjacency with square m * identity."""
     if not 1 <= m <= 10:
@@ -549,6 +523,3 @@ class SimplicialComplex:
     def signed_up_graph(self, d: int) -> SignedGraph:
         """The opposite sign convention (negated anti-signed graph)."""
         return SignedGraph(-self.anti_signed_graph(d).W)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.count(d) for d in range(self.dim + 1))

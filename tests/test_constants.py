@@ -46,6 +46,21 @@ def test_cheeger_reported_value_reevaluates():
         assert again == rep.value
 
 
+
+def test_vol_over_degrees_read_once_equals_vol():
+    # the Cheeger enumerations read the degrees once; every mask's volume
+    # must keep the bits of the per-call vol (same terms, same order)
+    rng = np.random.default_rng(6)
+    W = np.triu(rng.uniform(0.0, 3.0, (7, 7)) * (rng.random((7, 7)) < 0.6), 1)
+    g = WeightedGraph(W + W.T)
+    H = ChemicalHypergraph(5, [(mask_of([0]), mask_of([1, 2])),
+                               (mask_of([2, 3]), mask_of([4])),
+                               (mask_of([1, 4]), mask_of([0, 3]))])
+    for obj in (g, H):
+        vol = cst._vol_of(obj.degrees)
+        for m in range(1 << obj.n):
+            assert np.float64(vol(m)).tobytes() == np.float64(obj.vol(m)).tobytes()
+
 def test_kway_cheeger_k5():
     k5 = WeightedGraph.complete(5)
     assert cst.k_way_cheeger(k5, 2).value == Fraction(3, 4)

@@ -489,3 +489,125 @@ def test_k5_two_set_vector_certifies_lambda_one():
     for t in (0.5, 1.0, 2.0):
         y = np.array([1.0, 1.0, -t, -t, -t])
         assert eigen_residual(pair, pair.ratio(y), y) > 1e-3
+
+
+# -- the Dinkelbach layer against its earlier implementations ----------------
+
+def _gpi_200_steps(x, v, w, p):
+    """The fixed 200-step ternary search that g_pi_projection replaced."""
+    x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
+
+    def phi(t):
+        return float(np.sum(w * np.abs(x - t * v) ** p))
+
+    nz = v != 0
+    if not np.any(nz):
+        return phi(0.0), 0.0
+    ratios = x[nz] / v[nz]
+    lo, hi = float(ratios.min()), float(ratios.max())
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi(m1) <= phi(m2):
+            hi = m2
+        else:
+            lo = m1
+    t = 0.5 * (lo + hi)
+    return phi(t), t
+
+
+def test_gpi_bitwise_equal_to_200_step_search():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    dirs = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                     st.floats(-4.0, 4.0).map(lambda a: a if abs(a) > 1e-3 else 0.0))
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 40), st.sampled_from([1.01, 1.5, 3.0]),
+               st.booleans(), st.data())
+    def check(n, p, projected, data):
+        x = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+        v = np.array(data.draw(st.lists(dirs, min_size=n, max_size=n)))
+        w = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        if projected:                   # the minimizer is then at t = 0
+            x = x - _gpi_200_steps(x, v, w, p)[1] * v
+        want, got = _gpi_200_steps(x, v, w, p), g_pi_projection(x, v, w, p)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (x, v, w, p)
+
+    check()
+
+
+def _chemical_F_by_key_tuples(H, p, x):
+    """F and F_sub of chemical_plap_pair with the earlier edge terms: tie
+    keys (x_i, -i) and (x_j, j), builtin sum, numpy sign."""
+    from homext.setfn import mask_members
+    terms = []
+    for e_in, e_out in H.edges:
+        imax = max(mask_members(e_in), key=lambda i: (x[i], -i))
+        jmin = min(mask_members(e_out), key=lambda j: (x[j], j))
+        terms.append((imax, jmin, x[imax] - x[jmin]))
+    F = float(sum(abs(t) ** p for _, _, t in terms))
+    g = np.zeros(H.n)
+    for imax, jmin, t in terms:
+        if p == 1.0 and t == 0:
+            continue
+        c = p * abs(t) ** (p - 1) * np.sign(t) if p > 1 else float(np.sign(t))
+        g[imax] += c
+        g[jmin] -= c
+    return F, g
+
+
+def test_chemical_edge_terms_match_key_tuples_on_ties():
+    from homext.verify import rand_chemical
+    rng = np.random.default_rng(23)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.1 + 0.2])
+    for _ in range(60):
+        H = rand_chemical(rng, 4, 7)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            pair = chemical_plap_pair(H, p)
+            for _ in range(5):
+                x = rng.choice(levels, size=H.n)     # many tied coordinates
+                F, g = _chemical_F_by_key_tuples(H, p, x)
+                assert np.float64(pair.F(x)).tobytes() == np.float64(F).tobytes()
+                assert pair.F_subgrad(x).center.tobytes() == g.tobytes()
+
+
+def test_chemical_edge_term_memo_keys_on_exact_bits():
+    from homext.setfn import mask_of
+    H = ChemicalHypergraph(4, [(mask_of([0, 1]), mask_of([2])),
+                               (mask_of([2]), mask_of([1, 3])),
+                               (mask_of([3]), mask_of([0, 1]))])
+    pair = chemical_plap_pair(H, 1.5)
+    x = np.array([0.25, 0.0, 0.0, -0.5])
+    pair.F_subgrad(x)
+    x[1] = -0.0                         # equal as numbers, not as bits
+    got = pair.F_subgrad(x).center
+    assert got.tobytes() == chemical_plap_pair(H, 1.5).F_subgrad(x).center.tobytes()
+    x[2] = 1.0                          # changed in place: a new point
+    assert pair.F(x) == chemical_plap_pair(H, 1.5).F(x)
+    got = pair.F_subgrad(x).center
+    assert got.tobytes() == chemical_plap_pair(H, 1.5).F_subgrad(x).center.tobytes()
+
+
+def test_dinkelbach_chemical_golden_p15():
+    # recorded from the implementation with the 200-step ternary search and
+    # the key-tuple edge terms; every bit of lam, x and history must stay
+    from homext.setfn import mask_of
+    H = ChemicalHypergraph(5, [(mask_of([0]), mask_of([1, 2])),
+                               (mask_of([1, 3]), mask_of([4])),
+                               (mask_of([2, 4]), mask_of([0, 3])),
+                               (mask_of([0, 1]), mask_of([3, 4])),
+                               (mask_of([2]), mask_of([0, 4]))])
+    pair = chemical_plap_pair(H, 1.5)
+    proj = projection_diag_power(H.degrees, 1.5, np.ones(5))
+    ep = dinkelbach_multistart(pair, proj, 5, seed=1, starts=2, inner_iters=40,
+                               max_outer=8, certify=False)
+    assert ep.lam == 0.16807393297119902
+    assert ep.x.tolist() == [-0.5860919637771885, 0.32126973164182543,
+                             -0.6200021015829741, 0.3217958100030847,
+                             0.2555911192192374]
+    assert ep.history == [0.7112670920943291, 0.44898197903150233,
+                          0.29907069259147306, 0.19831821662762739,
+                          0.16807393297119913, 0.16807393297119902]
+    assert ep.converged
