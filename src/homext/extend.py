@@ -8,14 +8,13 @@ with an empty component never contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from .setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
-                    full_mask, is_chain_tuple, mask_of)
+                    full_mask, mask_of)
 
 MULTILINEAR_PROBE_CAP = 10 ** 6
 BLOCK_TERMS_CACHE = 4096
@@ -23,46 +22,13 @@ BLOCK_TERMS_CACHE = 4096
 _UNIT_INVARIANT = (int, Fraction, float)
 
 
-@dataclass
-class LevelSetDecomposition:
-    """Sorted view of one coordinate block.
-
-    ``order`` is the stable non-decreasing permutation (index tie-break),
-    ``sorted_values`` the rearranged coordinates with the x_(0) = 0
-    convention prepended implicitly, and ``level_masks[i]`` the upper level
-    set V^(i+1); level_masks[0] is all of V.
-    """
-
-    order: tuple[int, ...]
-    sorted_values: tuple
-    level_masks: tuple[int, ...]
-
-    def weights(self):
-        prev = 0
-        out = []
-        for v in self.sorted_values:
-            out.append(v - prev)
-            prev = v
-        return out
-
-
-def level_decomposition(x: Sequence) -> LevelSetDecomposition:
-    n = len(x)
-    order = tuple(sorted(range(n), key=x.__getitem__))
-    sorted_values = tuple(x[i] for i in order)
-    masks = [full_mask(n)]
-    for i in range(1, n):
-        thr = sorted_values[i - 1]
-        masks.append(mask_of(j for j in range(n) if x[j] > thr))
-    return LevelSetDecomposition(order, sorted_values, tuple(masks))
-
-
 def _block_terms(x: Sequence) -> list[tuple[object, int]]:
     """(weight, upper-level-set mask) pairs with zero weights dropped.
 
-    Level masks are built incrementally along the sorted order (suffix
-    masks of the permutation), which keeps the call cheap; results match
-    level_decomposition exactly.
+    The one place a block is sorted into level sets: weight
+    x_(i) - x_(i-1) (x_(-1) = 0) goes with the mask {j: x_j > x_(i-1)},
+    all of V for i = 0.  Masks are built incrementally along the sorted
+    order (suffix masks of the permutation), which keeps the call cheap.
     """
     n = len(x)
     # stable sort: equal coordinates keep index order, the fixed tie-break
@@ -185,19 +151,16 @@ def diagonal(f: SetTupleFunction, x: Sequence):
     return multilinear(f, [x] * f.k)
 
 
-def _abs_block_terms(x: Sequence) -> list[tuple[object, int, int]]:
-    """(cell width, plus mask, minus mask) over [0, ||x||_inf) breakpoints."""
-    n = len(x)
-    breaks = sorted({abs(v) for v in x} | {0})
-    terms = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        w = hi - lo
-        if w == 0:
-            continue
-        plus = mask_of(j for j in range(n) if x[j] > lo)
-        minus = mask_of(j for j in range(n) if -x[j] > lo)
-        terms.append((w, plus, minus))
-    return terms
+def _signed_block_terms(x: Sequence) -> list[tuple[object, int, int]]:
+    """(weight, plus mask, minus mask) of the signed level sets
+    ({j: x_j > t}, {j: x_j < -t}) over t >= 0, zero weights dropped.
+
+    For t >= 0, x_j > t iff |x_j| > t and x_j > 0, so these are the terms
+    of |x| with each mask split by the sign of x.
+    """
+    pos = mask_of(j for j, v in enumerate(x) if v > 0)
+    neg = mask_of(j for j, v in enumerate(x) if v < 0)
+    return [(w, m & pos, m & neg) for w, m in _block_terms([abs(v) for v in x])]
 
 
 def disjoint_pair_lovasz(f: DisjointPairFunction, x: Sequence):
@@ -220,7 +183,7 @@ def multiple_integral(f: DisjointPairFunction, xs: Sequence[Sequence]):
     for x in xs:
         if len(x) != f.n:
             raise ValueError(f"block length {len(x)} != n={f.n}")
-        terms = _abs_block_terms(x)
+        terms = _signed_block_terms(x)
         probes *= max(len(terms), 1)
         blocks.append(terms)
     if probes > MULTILINEAR_PROBE_CAP:
@@ -284,9 +247,7 @@ def upper_level_tuples(xs: Sequence[Sequence]) -> set[tuple[int, ...]]:
     """All multiple upper level sets (V^{t_1}(x^1), ..., V^{t_k}(x^k))."""
     per_block = []
     for x in xs:
-        n = len(x)
-        masks = {mask_of(j for j in range(n) if x[j] > t) for t in x}
-        masks.add(full_mask(n))
+        masks = {full_mask(len(x)), 0} | {m for _, m in _block_terms(x)}
         per_block.append(sorted(masks))
     return set(product(*per_block))
 
@@ -295,13 +256,8 @@ def signed_level_tuples(xs: Sequence[Sequence]) -> set[tuple[tuple[int, int], ..
     """All tuples of signed level-set pairs over thresholds t >= 0."""
     per_block = []
     for x in xs:
-        n = len(x)
-        thresholds = sorted({0} | {abs(v) for v in x})
-        pairs = set()
-        for t in thresholds:
-            plus = mask_of(j for j in range(n) if x[j] > t)
-            minus = mask_of(j for j in range(n) if -x[j] > t)
-            pairs.add((plus, minus))
+        # the first term holds the level sets at t = 0; (0, 0) is t = max |x_j|
+        pairs = {(0, 0)} | {(p, m) for _, p, m in _signed_block_terms(x)}
         per_block.append(sorted(pairs))
     return set(product(*per_block))
 
@@ -345,16 +301,3 @@ def induced_set_family(samples: Sequence[Sequence[Sequence]]) -> set[tuple[int, 
             if all(m != 0 for m in tup):
                 fam.add(tup)
     return fam
-
-
-def chain_family(n: int, k: int) -> set[tuple[int, ...]]:
-    """All k-tuples of nonempty sets that form an inclusion chain."""
-    fam = set()
-    for masks in product(range(1, 1 << n), repeat=k):
-        if is_chain_tuple(masks):
-            fam.add(masks)
-    return fam
-
-
-def as_fractions(x: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in x]

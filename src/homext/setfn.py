@@ -10,8 +10,7 @@ extension operators in :mod:`homext.extend` stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -57,44 +56,6 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Ground set V = {0, ..., n-1} with optional element labels."""
-
-    n: int
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if not 1 <= self.n <= DENSE_BIT_CAP:
-            raise ValueError(f"ground set size must be in [1, {DENSE_BIT_CAP}], got {self.n}")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("labels must have length n")
-            if len(set(self.labels)) != self.n:
-                raise ValueError("labels must be distinct")
-
-    def check_mask(self, mask: int) -> int:
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError(f"mask {mask} out of range for n={self.n}")
-        return mask
-
-
-@dataclass(frozen=True)
-class DisjointPair:
-    """A pair (A+, A-) of disjoint subsets, each a bitmask."""
-
-    plus: int
-    minus: int
-
-    def __post_init__(self):
-        if self.plus & self.minus:
-            raise ValueError("plus and minus parts must be disjoint")
-
-    @property
-    def union(self) -> int:
-        return self.plus | self.minus
 
 
 class SetTupleFunction:
@@ -163,11 +124,6 @@ class SetTupleFunction:
             return self._table[self._index(masks)]
         return self._fn(*masks)
 
-    @classmethod
-    def from_callable(cls, n: int, k: int, fn: Callable[..., object],
-                      dense: Optional[bool] = None) -> "SetTupleFunction":
-        return cls(n, k, fn, dense=dense)
-
     def tuples(self) -> Iterator[tuple[int, ...]]:
         return product(range(1 << self.n), repeat=self.k)
 
@@ -190,7 +146,7 @@ class DisjointPairFunction:
         flat = []
         top = 1 << self.n
         for pr in pairs:
-            p, m = (pr.plus, pr.minus) if isinstance(pr, DisjointPair) else pr
+            p, m = pr
             if not (0 <= p < top and 0 <= m < top):
                 raise ValueError("pair mask out of range")
             if p & m:
@@ -205,67 +161,36 @@ class DisjointPairFunction:
                 yield (p, m)
 
 
-def eval_tuple(f: SetTupleFunction, masks: Sequence[int]):
-    """Pure table/callback lookup, no implicit zeroing at empty components."""
-    return f(*masks)
+def _lattice_violation(f: SetTupleFunction, component: int, bad) -> bool:
+    """True iff some sets A, B in ``component``, for some fixing of the
+    other components, have bad(f(A|B) + f(A&B), f(A) + f(B))."""
+    if not 0 <= component < f.k:
+        raise ValueError("component out of range")
+    top = 1 << f.n
+    for others in product(range(top), repeat=f.k - 1):
+        head, tail = others[:component], others[component:]
+        vals = [f(*head, m, *tail) for m in range(top)]
+        for a in range(top):
+            for b in range(a + 1, top):
+                if bad(vals[a | b] + vals[a & b], vals[a] + vals[b]):
+                    return True
+    return False
 
 
-def _fix_component(f: SetTupleFunction, component: int, others: Sequence[int]):
-    def g(mask):
-        masks = list(others[:component]) + [mask] + list(others[component:])
-        return f(*masks)
-    return g
-
-
-def _all_other_assignments(f: SetTupleFunction, component: int) -> Iterator[tuple[int, ...]]:
-    return product(range(1 << f.n), repeat=f.k - 1)
-
-
-def modularity_check(f: SetTupleFunction, component: int, tol=0) -> bool:
+def modularity_check(f: SetTupleFunction, component: int) -> bool:
     """True iff A |-> f(..., A, ...) satisfies f(A|B) + f(A&B) = f(A) + f(B)
     for every fixing of the other components."""
-    if not 0 <= component < f.k:
-        raise ValueError("component out of range")
-    top = 1 << f.n
-    for others in _all_other_assignments(f, component):
-        g = _fix_component(f, component, others)
-        vals = [g(m) for m in range(top)]
-        for a in range(top):
-            for b in range(a + 1, top):
-                lhs = vals[a | b] + vals[a & b]
-                rhs = vals[a] + vals[b]
-                if abs(lhs - rhs) > tol:
-                    return False
-    return True
+    return not _lattice_violation(f, component, operator.ne)
 
 
-def submodularity_check(f: SetTupleFunction, component: int, tol=0) -> bool:
+def submodularity_check(f: SetTupleFunction, component: int) -> bool:
     """True iff f(A|B) + f(A&B) <= f(A) + f(B) on the given component."""
-    if not 0 <= component < f.k:
-        raise ValueError("component out of range")
-    top = 1 << f.n
-    for others in _all_other_assignments(f, component):
-        g = _fix_component(f, component, others)
-        vals = [g(m) for m in range(top)]
-        for a in range(top):
-            for b in range(a + 1, top):
-                if vals[a | b] + vals[a & b] > vals[a] + vals[b] + tol:
-                    return False
-    return True
+    return not _lattice_violation(f, component, operator.gt)
 
 
-def supermodularity_check(f: SetTupleFunction, component: int, tol=0) -> bool:
-    if not 0 <= component < f.k:
-        raise ValueError("component out of range")
-    top = 1 << f.n
-    for others in _all_other_assignments(f, component):
-        g = _fix_component(f, component, others)
-        vals = [g(m) for m in range(top)]
-        for a in range(top):
-            for b in range(a + 1, top):
-                if vals[a | b] + vals[a & b] < vals[a] + vals[b] - tol:
-                    return False
-    return True
+def supermodularity_check(f: SetTupleFunction, component: int) -> bool:
+    """True iff f(A|B) + f(A&B) >= f(A) + f(B) on the given component."""
+    return not _lattice_violation(f, component, operator.lt)
 
 
 def is_chain_tuple(masks: Sequence[int]) -> bool:
@@ -286,9 +211,3 @@ def enumerate_chains(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for masks in product(range(1 << n), repeat=k):
         if is_chain_tuple(masks):
             yield masks
-
-
-def rational_table(n: int, k: int, entries: dict) -> SetTupleFunction:
-    """Dense table with Fraction values (ints pass through exactly)."""
-    conv = {m: Fraction(v) for m, v in entries.items()}
-    return SetTupleFunction(n, k, conv)

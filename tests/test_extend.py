@@ -7,14 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from homext.extend import (MULTILINEAR_PROBE_CAP, absolutely_comonotone_check,
-                           chain_family, comonotone_check, diagonal,
-                           disjoint_pair_lovasz, induced_set_family,
-                           level_decomposition, lovasz, multilinear,
+from homext.extend import (MULTILINEAR_PROBE_CAP, _block_terms,
+                           _signed_block_terms, absolutely_comonotone_check,
+                           comonotone_check, diagonal, disjoint_pair_lovasz,
+                           induced_set_family, lovasz, multilinear,
                            multiple_integral, perfect_pair_membership,
                            signed_level_tuples, upper_level_tuples)
 from homext.setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
-                          full_mask, mask_of, popcount, submasks)
+                          enumerate_chains, full_mask, mask_of, popcount,
+                          submasks)
 from homext.structures import WeightedGraph
 
 
@@ -163,11 +164,25 @@ def test_diagonal_indicator():
         assert diagonal(f, indicator(mask, 3)) == f(mask, mask)
 
 
+def threshold_level_terms(x):
+    """Reference level sets by their definition: weight x_(i) - x_(i-1)
+    (x_(-1) = 0) with mask {j: x_j > x_(i-1)}, all of V for i = 0; zero
+    weights kept."""
+    n = len(x)
+    xs = sorted(x)
+    terms = []
+    prev = 0
+    for i, v in enumerate(xs):
+        mask = full_mask(n) if i == 0 else mask_of(j for j in range(n) if x[j] > xs[i - 1])
+        terms.append((v - prev, mask))
+        prev = v
+    return terms
+
+
 def level_weight_sum(f, xs):
     """Reference extension: sum over all level-set combinations."""
-    levels = [level_decomposition(x) for x in xs]
     total = 0
-    for combo in product(*[list(zip(ld.weights(), ld.level_masks)) for ld in levels]):
+    for combo in product(*[threshold_level_terms(x) for x in xs]):
         w = 1
         for wi, _ in combo:
             w = w * wi
@@ -266,6 +281,67 @@ def test_multiple_integral_product_of_l1():
     assert multiple_integral(f, [x, y]) == 3 * 4
 
 
+def abs_block_terms(x):
+    """Reference signed terms by their definition: (cell width, {j: x_j > lo},
+    {j: -x_j > lo}) over the cells [lo, hi) of the breakpoints {0} | {|x_j|}."""
+    n = len(x)
+    breaks = sorted({abs(v) for v in x} | {0})
+    terms = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        w = hi - lo
+        if w == 0:
+            continue
+        plus = mask_of(j for j in range(n) if x[j] > lo)
+        minus = mask_of(j for j in range(n) if -x[j] > lo)
+        terms.append((w, plus, minus))
+    return terms
+
+
+def _exact(terms):
+    # repr tells 1 from 1.0 from Fraction(1, 1), and 0.0 from -0.0
+    return [tuple((type(v), repr(v)) for v in t) for t in terms]
+
+
+def test_level_kernel_matches_threshold_definitions():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = {
+        "int": st.integers(-3, 3),
+        "fraction": st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+        "float": st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5]),
+                           st.floats(-4.0, 4.0, allow_nan=False)),
+    }
+
+    @hyp.settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(sorted(kinds)), st.integers(1, 6), st.integers(1, 2),
+               st.data())
+    def check(kind, n, k, data):
+        xs = [data.draw(st.lists(kinds[kind], min_size=n, max_size=n)) for _ in range(k)]
+        for x in xs:
+            want = [(w, m) for w, m in threshold_level_terms(x) if w != 0]
+            assert _exact(_block_terms(x)) == _exact(want), x
+            assert _exact(_signed_block_terms(x)) == _exact(abs_block_terms(x)), x
+        upper, signed = [], []
+        for x in xs:
+            upper.append({mask_of(j for j in range(n) if x[j] > t) for t in x} | {full_mask(n)})
+            signed.append({(mask_of(j for j in range(n) if x[j] > t),
+                            mask_of(j for j in range(n) if -x[j] > t))
+                           for t in {0} | {abs(v) for v in x}})
+        assert upper_level_tuples(xs) == set(product(*upper)), xs
+        assert signed_level_tuples(xs) == set(product(*signed)), xs
+        f = DisjointPairFunction(n, k, lambda *prs: sum(3 * p - 5 * m for p, m in prs) % 7 - 3)
+        want = 0
+        for combo in product(*[abs_block_terms(x) for x in xs]):
+            w = 1
+            for wi, _, _ in combo:
+                w = w * wi
+            if w != 0:
+                want += w * f(*((p, m) for _, p, m in combo))
+        assert _exact([(multiple_integral(f, xs),)]) == _exact([(want,)]), xs
+
+    check()
+
+
 def test_multiple_integral_first_quadrant_agrees_with_multilinear():
     rng = np.random.default_rng(11)
     h = rand_table(rng, 3, 2)
@@ -328,8 +404,12 @@ def test_perfect_pair_full_family_any_positive():
         assert perfect_pair_membership(xs, "custom", custom=fam)
 
 
+def nonempty_chains(n, k):
+    return {t for t in enumerate_chains(n, k) if all(t)}
+
+
 def test_perfect_pair_chain_vs_custom_consistency():
-    fam = chain_family(3, 2)
+    fam = nonempty_chains(3, 2)
     rng = np.random.default_rng(14)
     for _ in range(50):
         xs = [list(rng.integers(0, 4, 3)) for _ in range(2)]
@@ -347,13 +427,13 @@ def test_induced_family_idempotent_on_chain_samples():
         t = rng.uniform(0.5, 2.0)
         samples.append([x, [t * v for v in x]])
     fam = induced_set_family(samples)
-    assert fam <= chain_family(3, 2)
+    assert fam <= nonempty_chains(3, 2)
     again = induced_set_family([s for s in samples if perfect_pair_membership(s, "custom", custom=fam)])
     assert again == fam
 
 
 def test_level_decomposition_nested():
-    dec = level_decomposition([3, 1, 2])
-    assert dec.level_masks[0] == full_mask(3)
-    for a, b in zip(dec.level_masks, dec.level_masks[1:]):
+    masks = [m for _, m in _block_terms([3, 1, 2])]
+    assert masks[0] == full_mask(3)
+    for a, b in zip(masks, masks[1:]):
         assert a & b == b

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from homext.setfn import (CapExceeded, SetTupleFunction, enumerate_chains,
-                          eval_tuple, is_chain_tuple, mask_of, modularity_check,
-                          popcount, submodularity_check, supermodularity_check)
+                          is_chain_tuple, mask_of, modularity_check, popcount,
+                          submodularity_check, supermodularity_check)
 from homext.structures import WeightedGraph
 
 
@@ -19,7 +19,7 @@ def path3():
 def test_eval_tuple_edge_count_path():
     f = path3().ordered_edge_count()
     # A={0}, B={1} on the path 0-1-2: one ordered adjacent pair
-    assert eval_tuple(f, (mask_of([0]), mask_of([1]))) == 1
+    assert f(mask_of([0]), mask_of([1])) == 1
 
 
 def test_eval_tuple_empty_component_no_zeroing():
@@ -86,6 +86,70 @@ def test_product_function_component_modularity():
     f = SetTupleFunction(3, 2, lambda a, b: f1(a) * f2(b))
     assert modularity_check(f, 0)
     assert not modularity_check(f, 1)
+
+
+def _slices(f, component):
+    """Each A |-> f(..., A, ...) as a value list, one per fixing of the
+    other components."""
+    top = 1 << f.n
+    for others in product(range(top), repeat=f.k - 1):
+        yield [f(*(list(others[:component]) + [m] + list(others[component:])))
+               for m in range(top)]
+
+
+def _pairs(top):
+    return ((a, b) for a in range(top) for b in range(a + 1, top))
+
+
+# the three checks as separate loops, with their former tol = 0 comparisons
+def ref_modular(f, component, tol=0):
+    for vals in _slices(f, component):
+        for a, b in _pairs(1 << f.n):
+            if abs(vals[a | b] + vals[a & b] - (vals[a] + vals[b])) > tol:
+                return False
+    return True
+
+
+def ref_submodular(f, component, tol=0):
+    for vals in _slices(f, component):
+        for a, b in _pairs(1 << f.n):
+            if vals[a | b] + vals[a & b] > vals[a] + vals[b] + tol:
+                return False
+    return True
+
+
+def ref_supermodular(f, component, tol=0):
+    for vals in _slices(f, component):
+        for a, b in _pairs(1 << f.n):
+            if vals[a | b] + vals[a & b] < vals[a] + vals[b] - tol:
+                return False
+    return True
+
+
+def test_lattice_checks_match_separate_loops():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = {"int": int, "fraction": lambda v: Fraction(v, 3), "float": lambda v: v / 10}
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(sorted(kinds)), st.integers(1, 2), st.integers(1, 3),
+               st.booleans(), st.data())
+    def check(kind, k, n, modular, data):
+        size = 1 << (n * k)
+        if modular:     # modular in every component, with at most one entry moved
+            w = data.draw(st.lists(st.integers(-3, 3), min_size=n * k + 1, max_size=n * k + 1))
+            raw = [w[-1] + sum(w[i] for i in range(n * k) if (idx >> i) & 1)
+                   for idx in range(size)]
+            raw[data.draw(st.integers(0, size - 1))] += data.draw(st.integers(-1, 1))
+        else:
+            raw = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        f = SetTupleFunction(n, k, [kinds[kind](v) for v in raw])
+        for c in range(k):
+            assert modularity_check(f, c) == ref_modular(f, c), (raw, c)
+            assert submodularity_check(f, c) == ref_submodular(f, c), (raw, c)
+            assert supermodularity_check(f, c) == ref_supermodular(f, c), (raw, c)
+
+    check()
 
 
 def test_enumerate_chains_small():
