@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .setfn import CapExceeded, full_mask, mask_members, mask_of, popcount, submasks
-from .simplex import linprog
+from .simplex import l1_residual_lp, linprog  # noqa: F401  linprog: looked up here by tracers
 from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
                          WeightedGraph)
 
@@ -537,22 +537,7 @@ def quotient_l1_norm(x, image_basis, degrees) -> float:
     n = x.size
     if Z.size == 0:
         return float(np.sum(degrees * np.abs(x)))
-    Z = Z.reshape(n, -1)
-    m = Z.shape[1]
-    # vars: t (m, free), s (n, >= 0); s_i >= |x_i + (Z t)_i|
-    c = np.concatenate([np.zeros(m), np.asarray(degrees, dtype=float)])
-    A_ub, b_ub = [], []
-    for i in range(n):
-        row = np.concatenate([Z[i], np.zeros(n)])
-        row2 = np.concatenate([-Z[i], np.zeros(n)])
-        row[m + i] = -1.0
-        row2[m + i] = -1.0
-        A_ub.append(row)
-        b_ub.append(-x[i])
-        A_ub.append(row2)
-        b_ub.append(x[i])
-    bounds = [(None, None)] * m + [(0.0, None)] * n
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=bounds)
+    res = l1_residual_lp(Z.reshape(n, -1), x, degrees)
     if res.status != "optimal":
         return np.inf
     return max(res.objective, 0.0)
@@ -575,9 +560,26 @@ def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2),
     per-N minima so convergence across N can be inspected.
     """
     nd = K.count(d)
-    Bup = K.boundary_matrix(d + 1)            # S_d x S_{d+1}
-    deg = K.up_degrees(d)
     img = K.boundary_matrix(d).T if d >= 1 else np.zeros((nd, 0))
+    return _quotient_enumeration(K.boundary_matrix(d + 1).T,    # S_{d+1} x S_d
+                                 K.up_degrees(d), img, n_list, cap)
+
+
+def down_cheeger(K: SimplicialComplex, d: int, n_list=(1, 2),
+                 cap: int = 200000) -> SimplicialHReport:
+    """Analogous enumeration on B_d: min ||B_d x||_1 over the quotient norm
+    modulo the image of B_{d+1}."""
+    nd = K.count(d)
+    deg = np.full(nd, float(d + 1))    # each d-simplex has d+1 facets
+    img = K.boundary_matrix(d + 1) if d + 1 <= K.dim else np.zeros((nd, 0))
+    return _quotient_enumeration(K.boundary_matrix(d), deg, img, n_list, cap)
+
+
+def _quotient_enumeration(M, deg, img, n_list, cap) -> SimplicialHReport:
+    """min over integer x != 0 with entries in [-N, N], first nonzero entry
+    positive, of ||M x||_1 over the deg-weighted l1 norm of x modulo the
+    column span of img, per N in n_list."""
+    nd = len(deg)
     per_n = {}
     wit = None
     best_all = np.inf
@@ -592,7 +594,7 @@ def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2),
             if first < 0:
                 continue
             x = np.array(digits, dtype=float)
-            num = float(np.sum(np.abs(Bup.T @ x)))
+            num = float(np.sum(np.abs(M @ x)))
             if num == 0:
                 continue
             cheap = float(np.sum(deg * np.abs(x)))
@@ -601,46 +603,6 @@ def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2),
             den = quotient_l1_norm(x, img, deg)
             if den <= 1e-12:
                 continue            # x is a coboundary: excluded
-            val = num / den
-            if val < best:
-                best = val
-                if val < best_all:
-                    best_all, wit = val, digits
-        per_n[N] = best
-    return SimplicialHReport(per_n, best_all, wit)
-
-
-def down_cheeger(K: SimplicialComplex, d: int, n_list=(1, 2),
-                 cap: int = 200000) -> SimplicialHReport:
-    """Analogous enumeration on B_d: min ||B_d x||_1 over the quotient norm
-    modulo the image of B_{d+1}."""
-    nd = K.count(d)
-    Bd = K.boundary_matrix(d)
-    deg = np.full(nd, float(d + 1))    # each d-simplex has d+1 facets
-    img = K.boundary_matrix(d + 1) if d + 1 <= K.dim else np.zeros((nd, 0))
-    per_n = {}
-    wit = None
-    best_all = np.inf
-    for N in n_list:
-        if (2 * N + 1) ** nd > cap:
-            raise CapExceeded("multiset enumeration over the N-box too large")
-        best = np.inf
-        for digits in product(range(-N, N + 1), repeat=nd):
-            if all(v == 0 for v in digits):
-                continue
-            first = next(v for v in digits if v != 0)
-            if first < 0:
-                continue
-            x = np.array(digits, dtype=float)
-            num = float(np.sum(np.abs(Bd @ x)))
-            if num == 0:
-                continue
-            cheap = float(np.sum(deg * np.abs(x)))
-            if cheap > 0 and num / cheap >= best:
-                continue
-            den = quotient_l1_norm(x, img, deg)
-            if den <= 1e-12:
-                continue
             val = num / den
             if val < best:
                 best = val

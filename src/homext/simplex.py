@@ -166,18 +166,18 @@ def solve_standard(c, A, b) -> LPResult:
     As = A / scale[:, None]
     bs = b / scale
 
-    atol = max(1.0, np.abs(b).max())
+    atol = max(1.0, np.abs(b).max(initial=0.0))
     for bland in (False, True):
         res = _solve_standard_once(c, As, bs, bland)
         if res.status == "unbounded":
             return res
         if res.status == "optimal":
             if np.all(res.x >= -1e-9) and \
-                    np.max(np.abs(A @ res.x - b)) <= 1e-7 * atol:
+                    np.abs(A @ res.x - b).max(initial=0.0) <= 1e-7 * atol:
                 return res
         elif res.status == "infeasible":
             y = res.certificate / scale
-            if np.all(y @ A <= PIVOT_TOL * np.abs(y).max()) and \
+            if np.all(y @ A <= PIVOT_TOL * np.abs(y).max(initial=0.0)) and \
                     y @ b > np.abs(y).sum() * 1e-7 * atol:
                 return LPResult("infeasible", None, None, np.where(neg, -y, y))
     return LPResult("numerical", None, None)
@@ -199,67 +199,39 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     if bounds is None:
         bounds = [(0.0, None)] * n
 
-    # x_j = lo_j + u_j (lo finite) or u_j - v_j (free); finite hi adds a row
-    cols = []
-    std_cols = 0
-    extra_ub_rows = []
-    shift = np.zeros(n)
+    # x_j = lo_j + u_j (lo finite) or u_j - v_j (free); finite hi adds a row.
+    # Standard-form column k holds sgn[k] * x_var[k]: u_j, then v_j if free.
+    var, sgn, u, free, v, shift, capped = [], [], [], [], [], [], []
     for j, (lo, hi) in enumerate(bounds):
+        u.append(len(var))
+        var.append(j)
+        sgn.append(1.0)
         if lo is None:
-            cols.append(("free", std_cols, std_cols + 1))
-            std_cols += 2
-            if hi is not None:
-                extra_ub_rows.append((j, hi))
-        else:
-            cols.append(("shift", lo, std_cols))
-            std_cols += 1
-            shift[j] = lo
-            if hi is not None:
-                extra_ub_rows.append((j, hi))
+            free.append(j)
+            v.append(len(var))
+            var.append(j)
+            sgn.append(-1.0)
+        shift.append(0.0 if lo is None else lo)
+        if hi is not None:
+            capped.append(j)
+    shift = np.array(shift, dtype=float)
 
-    def expand_row(row):
-        out = np.zeros(std_cols)
-        for j, spec in enumerate(cols):
-            if spec[0] == "shift":
-                out[spec[2]] = row[j]
-            else:
-                out[spec[1]] = row[j]
-                out[spec[2]] = -row[j]
-        return out
+    # rows in x: A_ub, the unit rows of capped x_j, A_eq; slacks on the first two
+    rows = np.concatenate((A_ub, np.eye(n)[capped], A_eq) if capped else (A_ub, A_eq))
+    rhs = np.concatenate(([b - a @ shift for a, b in zip(A_ub, b_ub)],
+                          [bounds[j][1] - shift[j] for j in capped],
+                          [b - a @ shift for a, b in zip(A_eq, b_eq)]))
+    n_slack = A_ub.shape[0] + len(capped)
+    A = np.concatenate((rows[:, var] * sgn, np.eye(len(rows), n_slack)), axis=1)
+    cc = np.concatenate((c[var] * sgn, np.zeros(n_slack)))
 
-    rows, rhs, n_slack = [], [], 0
-    for i in range(A_ub.shape[0]):
-        rows.append(expand_row(A_ub[i]))
-        rhs.append(b_ub[i] - A_ub[i] @ shift)
-        n_slack += 1
-    for (j, hi) in extra_ub_rows:
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(expand_row(e))
-        rhs.append(hi - shift[j])
-        n_slack += 1
-    for i in range(A_eq.shape[0]):
-        rows.append(expand_row(A_eq[i]))
-        rhs.append(b_eq[i] - A_eq[i] @ shift)
-
-    m = len(rows)
-    A = np.zeros((m, std_cols + n_slack))
-    for i, r in enumerate(rows):
-        A[i, :std_cols] = r
-    for i in range(n_slack):
-        A[i, std_cols + i] = 1.0
-    cc = np.zeros(std_cols + n_slack)
-    cc[:std_cols] = expand_row(c)
-
-    res = solve_standard(cc, A, np.asarray(rhs))
+    res = solve_standard(cc, A, rhs)
     if res.status != "optimal":
         return res
-    x = np.zeros(n)
-    for j, spec in enumerate(cols):
-        if spec[0] == "shift":
-            x[j] = spec[1] + res.x[spec[2]]
-        else:
-            x[j] = res.x[spec[1]] - res.x[spec[2]]
+    y = res.x
+    x = shift + y[u]
+    if free:
+        x[free] = y[u][free] - y[v]
     return LPResult("optimal", x, float(c @ x))
 
 
@@ -267,3 +239,28 @@ def lp_feasible(A_ub, b_ub, A_eq=None, b_eq=None, bounds=None) -> bool:
     n = np.asarray(A_ub if A_ub is not None else A_eq).shape[1]
     res = linprog(np.zeros(n), A_ub, b_ub, A_eq, b_eq, bounds)
     return res.status == "optimal"
+
+
+def l1_residual_lp(A, b, w, lin=None, radius=None) -> LPResult:
+    """min sum_i w_i |(A z + b)_i| - lin.z over z in [-radius, radius]^n
+    (z free when radius is None; no lin term when lin is None).
+
+    One LP in (z, s) with s_i >= |(A z + b)_i|, as the two rows
+    (A z)_i - s_i <= -b_i and -(A z)_i - s_i <= b_i, in that order per i.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k, n = A.shape
+    c = np.concatenate([np.zeros(n) if lin is None else -np.asarray(lin, dtype=float),
+                        np.asarray(w, dtype=float)])
+    A_ub = np.zeros((2 * k, n + k))
+    A_ub[0::2, :n] = A
+    A_ub[1::2, :n] = -A
+    i = np.arange(k)
+    A_ub[2 * i, n + i] = -1.0
+    A_ub[2 * i + 1, n + i] = -1.0
+    b_ub = np.empty(2 * k)
+    b_ub[0::2] = -b
+    b_ub[1::2] = b
+    box = (None, None) if radius is None else (-radius, radius)
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[box] * n + [(0.0, None)] * k)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex import linprog
+from .simplex import l1_residual_lp, linprog
 from .structures import ChemicalHypergraph, SymmetricTensor, WeightedGraph
 
 JACOBI_SWEEP_TOL = 1e-12
@@ -1119,25 +1119,10 @@ def _sphere_norm2_max(A, b, radius=1.0):
 
 def _l1_min_box_lp(A, b, lin, radius):
     """Exact min of ||A z + b||_1 - lin.z over the box [-radius, radius]^n."""
-    m, n = A.shape
-    # vars: z (n, boxed), s (m, >= 0) with s_i >= |(A z + b)_i|
-    c = np.concatenate([-np.asarray(lin, dtype=float), np.ones(m)])
-    A_ub = []
-    b_ub = []
-    for i in range(m):
-        row = np.concatenate([A[i], np.zeros(m)])
-        row[n + i] = -1.0
-        A_ub.append(row)
-        b_ub.append(-b[i])
-        row2 = np.concatenate([-A[i], np.zeros(m)])
-        row2[n + i] = -1.0
-        A_ub.append(row2)
-        b_ub.append(b[i])
-    bounds = [(-radius, radius)] * n + [(0.0, None)] * m
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=bounds)
+    res = l1_residual_lp(A, b, np.ones(A.shape[0]), lin, radius)
     if res.status != "optimal":
         raise RuntimeError("box l1 LP failed")
-    z = res.x[:n]
+    z = res.x[:A.shape[1]]
     return float(np.sum(np.abs(A @ z + b)) - lin @ z), z
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import constants as cst
 from . import extend, setfn, spectra
 from .setfn import SetTupleFunction, full_mask, mask_members, mask_of, popcount
-from .simplex import linprog
+from .simplex import linprog, lp_feasible
 from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
                          WeightedGraph, adjacency_tensor, huang_signing,
                          hypercube)
@@ -146,6 +146,11 @@ def _is_modular_zero_side(fvals, n: int, m: int) -> bool:
     return True
 
 
+def _is_linear(F, G, n: int, m: int) -> bool:
+    """The extensions of both tables are globally linear in the first block."""
+    return _is_modular_zero_side(F, n, m) and _is_modular_zero_side(G, n, m)
+
+
 class TwoBlockMinimax:
     """inf_x sup_y and sup_y inf_x of f^Q(x,y)/g^Q(x,y) over the closed
     nonnegative cones, for f, g on P(V1) x P(V2).
@@ -154,16 +159,25 @@ class TwoBlockMinimax:
     linear on ordering cells), the outer player to a feasibility LP per
     ordering cone, and the value found by bisection; both directions are
     exact up to the bisection tolerance.
+
+    One routine serves both directions.  sup_y inf_x f/g is minus
+    inf_y sup_x (-f)/g: the mirror swaps the blocks (transposed tables)
+    and negates every row, and its bisection runs on s = -t.  IEEE
+    negation is exact, so the mirror probes the same t with the same LP
+    rows as a bisection on t itself would.
     """
 
     def __init__(self, f: SetTupleFunction, g: SetTupleFunction):
         if f.k != 2 or g.k != 2:
             raise ValueError("two-block minimax expects k = 2 functions")
-        # allow distinct block sizes via rectangular tables
+        if f.n != g.n:
+            raise ValueError(f"f and g need the same ground set, got n = {f.n} and {g.n}")
+        # both blocks are on V; from_tables takes rectangular tables
+        n = f.n
         self._set_tables(
-            [[float(f(a, b)) for b in range(1 << f.n)] for a in range(1 << f.n)],
-            [[float(g(a, b)) for b in range(1 << g.n)] for a in range(1 << g.n)],
-            f.n, f.n)
+            [[float(f(a, b)) for b in range(1 << n)] for a in range(1 << n)],
+            [[float(g(a, b)) for b in range(1 << n)] for a in range(1 << n)],
+            n, n)
 
     @classmethod
     def from_tables(cls, fvals, gvals, n, m):
@@ -172,80 +186,64 @@ class TwoBlockMinimax:
         return obj
 
     def _set_tables(self, fv, gv, n, m):
-        """Store the tables and what every probe reads from them: the
-        transposed tables and whether either block is globally linear."""
-        self.n, self.m = n, m
-        self.fv, self.gv = fv, gv
-        self.fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
-        self.gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
-        self.linear_first = (_is_modular_zero_side(fv, n, m)
-                             and _is_modular_zero_side(gv, n, m))
-        self.linear_second = (_is_modular_zero_side(self.fT, m, n)
-                              and _is_modular_zero_side(self.gT, m, n))
+        """Store the two orientations every probe reads: the tables indexed
+        [outer set][inner set], the outer and inner block sizes, whether
+        the outer block is globally linear, and the row sign."""
+        fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        self._infsup_side = (fv, gv, n, m, _is_linear(fv, gv, n, m), 1.0)
+        self._supinf_side = (fT, gT, m, n, _is_linear(fT, gT, m, n), -1.0)
 
-    def _feasible_infsup(self, t: float) -> bool:
-        """exists x >= 0 nonzero with f^Q(x, 1_B) - t g^Q(x, 1_B) <= 0 for
-        every nonempty B."""
-        n, m = self.n, self.m
+    @staticmethod
+    def _feasible(side, t: float) -> bool:
+        """exists x >= 0 nonzero on the outer block with
+        sign * (F(x, 1_B) - t G(x, 1_B)) <= 0 for every nonempty inner B;
+        one LP when the outer block is linear, else one per ordering cone."""
+        F, G, n, m, linear, sign = side
+        if linear:
+            chains = [[1 << i for i in range(n)]]
+        elif n > MINIMAX_CONE_CAP:
+            block = "n" if sign > 0 else "m"
+            raise setfn.CapExceeded(f"cone enumeration capped at {block} <= {MINIMAX_CONE_CAP}")
+        else:
+            chains = (_chain_sets(n, sigma) for sigma in permutations(range(n)))
         bs = range(1, 1 << m)
-        if self.linear_first:
-            rows = [[self.fv[1 << i][b] - t * self.gv[1 << i][b] for i in range(n)]
-                    for b in bs]
-            return _simplex_feasible(rows)
-        if n > MINIMAX_CONE_CAP:
-            raise setfn.CapExceeded(f"cone enumeration capped at n <= {MINIMAX_CONE_CAP}")
-        for sigma in permutations(range(n)):
-            chain = _chain_sets(n, sigma)
-            rows = [[self.fv[u][b] - t * self.gv[u][b] for u in chain] for b in bs]
-            if _simplex_feasible(rows):
+        for chain in chains:
+            rows = [[sign * (F[u][b] - t * G[u][b]) for u in chain] for b in bs]
+            if lp_feasible(np.array(rows), np.zeros(len(rows)), np.ones((1, n)), [1.0]):
                 return True
         return False
 
-    def _feasible_supinf(self, t: float) -> bool:
-        """exists y >= 0 nonzero with f^Q(1_A, y) - t g^Q(1_A, y) >= 0 for
-        every nonempty A."""
-        n, m = self.n, self.m
-        fT, gT = self.fT, self.gT
-        a_range = range(1, 1 << n)
-        if self.linear_second:
-            rows = [[-(fT[1 << j][a] - t * gT[1 << j][a]) for j in range(m)]
-                    for a in a_range]
-            return _simplex_feasible(rows)
-        if m > MINIMAX_CONE_CAP:
-            raise setfn.CapExceeded(f"cone enumeration capped at m <= {MINIMAX_CONE_CAP}")
-        for tau in permutations(range(m)):
-            chain = _chain_sets(m, tau)
-            rows = [[-(fT[u][a] - t * gT[u][a]) for u in chain] for a in a_range]
-            if _simplex_feasible(rows):
-                return True
-        return False
+    @classmethod
+    def _least_feasible(cls, side, tol, iters) -> float:
+        """Least s with side feasible at t = sign * s, to the bisection
+        tolerance; inf when no s tried is feasible."""
+        F, G, n, m, _, sign = side
 
-    def _bracket(self):
+        def feasible(s):
+            # 0.0 - s, not -s: s = +-0.0 is t = +0.0, as a bisection on t has it
+            return cls._feasible(side, s if sign > 0 else 0.0 - s)
+
         finite = []
-        for a in range(1, 1 << self.n):
-            for b in range(1, 1 << self.m):
-                r = ratio_value(self.fv[a][b], self.gv[a][b])
+        for a in range(1, 1 << n):
+            for b in range(1, 1 << m):
+                r = ratio_value(F[a][b], G[a][b])
                 if r is not None and np.isfinite(r):
-                    finite.append(r)
-        if not finite:
-            return -1.0, 1.0
-        return min(finite) - 1.0, max(finite) + 1.0
-
-    def infsup(self, tol=1e-10, iters=60) -> float:
-        lo, hi = self._bracket()
+                    finite.append(sign * r)
+        lo, hi = (min(finite) - 1.0, max(finite) + 1.0) if finite else (-1.0, 1.0)
         for _ in range(30):
-            if self._feasible_infsup(hi):
+            if feasible(hi):
                 break
             hi = 2 * hi - lo
         else:
             return np.inf
         for _ in range(30):
-            if not self._feasible_infsup(lo):
+            if not feasible(lo):
                 break
             lo = 2 * lo - hi
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            if self._feasible_infsup(mid):
+            if feasible(mid):
                 hi = mid
             else:
                 lo = mid
@@ -253,36 +251,11 @@ class TwoBlockMinimax:
                 break
         return hi
 
+    def infsup(self, tol=1e-10, iters=60) -> float:
+        return self._least_feasible(self._infsup_side, tol, iters)
+
     def supinf(self, tol=1e-10, iters=60) -> float:
-        lo, hi = self._bracket()
-        for _ in range(30):
-            if self._feasible_supinf(lo):
-                break
-            lo = 2 * lo - hi
-        else:
-            return -np.inf
-        for _ in range(30):
-            if not self._feasible_supinf(hi):
-                break
-            hi = 2 * hi - lo
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self._feasible_supinf(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, abs(lo)):
-                break
-        return lo
-
-
-def _simplex_feasible(rows) -> bool:
-    """exists w in the probability simplex with (rows @ w) <= 0."""
-    rows = np.asarray(rows, dtype=float)
-    k = rows.shape[1]
-    res = linprog(np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                  A_eq=np.ones((1, k)), b_eq=[1.0])
-    return res.status == "optimal"
+        return 0.0 - self._least_feasible(self._supinf_side, tol, iters)
 
 
 def game_lp_value(C) -> float:

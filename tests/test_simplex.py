@@ -7,8 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from homext.simplex import (PIVOT_TOL, _pivot, _solve_standard_once, linprog,
-                            lp_feasible, solve_standard)
+from homext.simplex import (PIVOT_TOL, LPResult, _pivot, _solve_standard_once,
+                            l1_residual_lp, linprog, lp_feasible, solve_standard)
 
 
 def vertex_oracle(c, A_ub, b_ub):
@@ -67,6 +67,14 @@ def test_infeasible():
 def test_unbounded():
     res = linprog([-1.0], A_ub=[[-1.0]], b_ub=[0.0])
     assert res.status == "unbounded"
+
+
+def test_linprog_without_constraint_rows():
+    res = linprog([1.0])
+    assert res.status == "optimal" and res.x.tolist() == [0.0] and res.objective == 0.0
+    assert linprog([-1.0]).status == "unbounded"
+    res = solve_standard(np.array([2.0, 1.0]), np.zeros((0, 2)), np.zeros(0))
+    assert res.status == "optimal" and res.x.tolist() == [0.0, 0.0]
 
 
 def test_free_and_box_bounds():
@@ -234,3 +242,163 @@ def test_saddle_certified_infeasible_matches_bland_rerun():
         assert n_passes == 1                         # no Bland rerun
         _assert_certificate(res, A, b)
         assert _solve_standard_once(c, As, bs, bland=True).status == "infeasible"
+
+
+def linprog_expand_row(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """The former linprog: the standard form built one row at a time."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, n)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    if bounds is None:
+        bounds = [(0.0, None)] * n
+    cols = []
+    std_cols = 0
+    extra_ub_rows = []
+    shift = np.zeros(n)
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is None:
+            cols.append(("free", std_cols, std_cols + 1))
+            std_cols += 2
+            if hi is not None:
+                extra_ub_rows.append((j, hi))
+        else:
+            cols.append(("shift", lo, std_cols))
+            std_cols += 1
+            shift[j] = lo
+            if hi is not None:
+                extra_ub_rows.append((j, hi))
+
+    def expand_row(row):
+        out = np.zeros(std_cols)
+        for j, spec in enumerate(cols):
+            if spec[0] == "shift":
+                out[spec[2]] = row[j]
+            else:
+                out[spec[1]] = row[j]
+                out[spec[2]] = -row[j]
+        return out
+
+    rows, rhs, n_slack = [], [], 0
+    for i in range(A_ub.shape[0]):
+        rows.append(expand_row(A_ub[i]))
+        rhs.append(b_ub[i] - A_ub[i] @ shift)
+        n_slack += 1
+    for (j, hi) in extra_ub_rows:
+        e = np.zeros(n)
+        e[j] = 1.0
+        rows.append(expand_row(e))
+        rhs.append(hi - shift[j])
+        n_slack += 1
+    for i in range(A_eq.shape[0]):
+        rows.append(expand_row(A_eq[i]))
+        rhs.append(b_eq[i] - A_eq[i] @ shift)
+    m = len(rows)
+    A = np.zeros((m, std_cols + n_slack))
+    for i, r in enumerate(rows):
+        A[i, :std_cols] = r
+    for i in range(n_slack):
+        A[i, std_cols + i] = 1.0
+    cc = np.zeros(std_cols + n_slack)
+    cc[:std_cols] = expand_row(c)
+    res = solve_standard(cc, A, np.asarray(rhs))
+    if res.status != "optimal":
+        return res
+    x = np.zeros(n)
+    for j, spec in enumerate(cols):
+        if spec[0] == "shift":
+            x[j] = spec[1] + res.x[spec[2]]
+        else:
+            x[j] = res.x[spec[1]] - res.x[spec[2]]
+    return LPResult("optimal", x, float(c @ x))
+
+
+def _lp_repr(res):
+    return repr((res.status, None if res.x is None else res.x.tolist(), res.objective,
+                 None if res.certificate is None else res.certificate.tolist()))
+
+
+def test_linprog_bitwise_equal_to_expand_row_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nums = st.sampled_from([-3.0, -1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0])
+    # free, free capped, boxed, capped only (lo = 0), shifted (lo only)
+    bound = st.one_of(st.just((None, None)), st.tuples(st.none(), nums),
+                      st.tuples(nums, nums).map(lambda p: (p[0], p[0] + abs(p[1]))),
+                      st.tuples(st.just(0.0), nums.map(abs)), st.tuples(nums, st.none()))
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2), st.data())
+    def check(n, m_ub, m_eq, data):
+        def matrix(rows):
+            return np.array(data.draw(st.lists(st.lists(nums, min_size=n, max_size=n),
+                                               min_size=rows, max_size=rows)), float).reshape(rows, n)
+
+        def vector(size):
+            return np.array(data.draw(st.lists(nums, min_size=size, max_size=size)), float)
+
+        c = vector(n)
+        A_ub, b_ub, A_eq, b_eq = matrix(m_ub), vector(m_ub), matrix(m_eq), vector(m_eq)
+        bounds = data.draw(st.lists(bound, min_size=n, max_size=n))
+        args = (c, A_ub if m_ub else None, b_ub if m_ub else None,
+                A_eq if m_eq else None, b_eq if m_eq else None, bounds)
+        assert _lp_repr(linprog(*args)) == _lp_repr(linprog_expand_row(*args)), args
+
+    check()
+
+
+def l1_rows_per_residual(A, b, w, lin, radius):
+    """The former l1 LPs: the two rows of each residual appended in turn."""
+    m, n = A.shape
+    c = np.concatenate([np.zeros(n) if lin is None else -np.asarray(lin, dtype=float),
+                        np.asarray(w, dtype=float)])
+    A_ub, b_ub = [], []
+    for i in range(m):
+        row = np.concatenate([A[i], np.zeros(m)])
+        row[n + i] = -1.0
+        A_ub.append(row)
+        b_ub.append(-b[i])
+        row2 = np.concatenate([-A[i], np.zeros(m)])
+        row2[n + i] = -1.0
+        A_ub.append(row2)
+        b_ub.append(b[i])
+    box = (None, None) if radius is None else (-radius, radius)
+    return linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+                   bounds=[box] * n + [(0.0, None)] * m)
+
+
+def test_l1_residual_lp_agrees_with_highs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.data())
+    def check(m, n, boxed, data):
+        ints = st.integers(-4, 4)
+        A = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), float)
+        b = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), float)
+        w = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), float)
+        # a linear term needs the box: over free z it can be unbounded
+        lin = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), float) \
+            if boxed else None
+        radius = data.draw(st.sampled_from([0.5, 1.0, 2.0])) if boxed else None
+        res = l1_residual_lp(A, b, w, lin, radius)
+        assert _lp_repr(res) == _lp_repr(l1_rows_per_residual(A, b, w, lin, radius))
+        # HiGHS on the same problem with the residual rows stacked, not interleaved
+        bnd = (None, None) if radius is None else (-radius, radius)
+        eye = np.eye(m)
+        ref = optimize.linprog(
+            np.concatenate([np.zeros(n) if lin is None else -lin, w]),
+            A_ub=np.block([[A, -eye], [-A, -eye]]), b_ub=np.concatenate([-b, b]),
+            bounds=[bnd] * n + [(0, None)] * m, method="highs")
+        assert ref.status == 0 and res.status == "optimal"
+        assert np.isclose(res.objective, ref.fun, rtol=1e-7, atol=1e-7)
+        z = res.x[:n]
+        direct = w @ np.abs(A @ z + b) - (0.0 if lin is None else lin @ z)
+        assert np.isclose(direct, ref.fun, rtol=1e-7, atol=1e-7)
+
+    check()

@@ -2,12 +2,12 @@
 ratio conventions, report determinism, and suite smoke runs."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from homext import verify
+from homext import simplex, verify
 from homext.setfn import SetTupleFunction, mask_members, popcount
 from homext.structures import WeightedGraph
 
@@ -98,6 +98,165 @@ def test_engine_brute_force_cross_check():
                 worst = max(worst, r)
         best = min(best, worst)
     assert cis <= best + 1e-8
+
+
+def test_engine_rejects_distinct_ground_sets():
+    f = SetTupleFunction(2, 2, lambda a, b: Fraction(popcount(a) * popcount(b)))
+    for gn in (1, 3):
+        g = SetTupleFunction(gn, 2, lambda a, b: Fraction(popcount(a | b)))
+        with pytest.raises(ValueError):
+            verify.TwoBlockMinimax(f, g)
+
+
+class ReferenceMinimax:
+    """The former engine: one feasibility probe and one bisection per
+    direction, the sup inf side on the transposed tables."""
+
+    def __init__(self, fv, gv, n, m):
+        self.n, self.m = n, m
+        self.fv, self.gv = fv, gv
+        self.fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        self.gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
+        self.linear_first = (verify._is_modular_zero_side(fv, n, m)
+                             and verify._is_modular_zero_side(gv, n, m))
+        self.linear_second = (verify._is_modular_zero_side(self.fT, m, n)
+                              and verify._is_modular_zero_side(self.gT, m, n))
+
+    @staticmethod
+    def _simplex_feasible(rows):
+        rows = np.asarray(rows, dtype=float)
+        k = rows.shape[1]
+        res = simplex.linprog(np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                              A_eq=np.ones((1, k)), b_eq=[1.0])
+        return res.status == "optimal"
+
+    def _feasible_infsup(self, t):
+        n, m = self.n, self.m
+        bs = range(1, 1 << m)
+        if self.linear_first:
+            return self._simplex_feasible(
+                [[self.fv[1 << i][b] - t * self.gv[1 << i][b] for i in range(n)] for b in bs])
+        for sigma in permutations(range(n)):
+            chain = verify._chain_sets(n, sigma)
+            rows = [[self.fv[u][b] - t * self.gv[u][b] for u in chain] for b in bs]
+            if self._simplex_feasible(rows):
+                return True
+        return False
+
+    def _feasible_supinf(self, t):
+        n, m = self.n, self.m
+        fT, gT = self.fT, self.gT
+        a_range = range(1, 1 << n)
+        if self.linear_second:
+            return self._simplex_feasible(
+                [[-(fT[1 << j][a] - t * gT[1 << j][a]) for j in range(m)] for a in a_range])
+        for tau in permutations(range(m)):
+            chain = verify._chain_sets(m, tau)
+            rows = [[-(fT[u][a] - t * gT[u][a]) for u in chain] for a in a_range]
+            if self._simplex_feasible(rows):
+                return True
+        return False
+
+    def _bracket(self):
+        finite = []
+        for a in range(1, 1 << self.n):
+            for b in range(1, 1 << self.m):
+                r = verify.ratio_value(self.fv[a][b], self.gv[a][b])
+                if r is not None and np.isfinite(r):
+                    finite.append(r)
+        if not finite:
+            return -1.0, 1.0
+        return min(finite) - 1.0, max(finite) + 1.0
+
+    def infsup(self, tol=1e-10, iters=60):
+        lo, hi = self._bracket()
+        for _ in range(30):
+            if self._feasible_infsup(hi):
+                break
+            hi = 2 * hi - lo
+        else:
+            return np.inf
+        for _ in range(30):
+            if not self._feasible_infsup(lo):
+                break
+            lo = 2 * lo - hi
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            if self._feasible_infsup(mid):
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= tol * max(1.0, abs(hi)):
+                break
+        return hi
+
+    def supinf(self, tol=1e-10, iters=60):
+        lo, hi = self._bracket()
+        for _ in range(30):
+            if self._feasible_supinf(lo):
+                break
+            lo = 2 * lo - hi
+        else:
+            return -np.inf
+        for _ in range(30):
+            if not self._feasible_supinf(hi):
+                break
+            hi = 2 * hi - lo
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            if self._feasible_supinf(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol * max(1.0, abs(lo)):
+                break
+        return lo
+
+
+def test_engine_bitwise_equal_to_two_direction_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def game(C, n, m):
+        return [[float(sum(C[i][j] for i in mask_members(a) for j in mask_members(b)))
+                 for b in range(1 << m)] for a in range(1 << n)]
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 3), st.integers(1, 3),
+               st.sampled_from(["game", "free", "zero-g", "g-zero", "f-zero", "float"]),
+               st.data())
+    def check(n, m, kind, data):
+        def table(elements):
+            return data.draw(st.lists(st.lists(elements, min_size=1 << m, max_size=1 << m),
+                                      min_size=1 << n, max_size=1 << n))
+
+        if kind == "game":          # linear in both blocks: one LP per probe
+            C = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                                   min_size=n, max_size=n))
+            fv = game(C, n, m)
+            gv = [[popcount(a) * popcount(b) for b in range(1 << m)] for a in range(1 << n)]
+        elif kind == "free":        # f nonzero at empty sets, g > 0 off them
+            fv = table(st.integers(-3, 3).map(float))
+            gv = [[float(g) if a and b else 0.0 for b, g in enumerate(row)]
+                  for a, row in enumerate(table(st.integers(1, 3)))]
+        elif kind == "zero-g":      # g = 0 entries: +-inf ratios and 0/0
+            fv = table(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+            gv = table(st.sampled_from([0, 0, 0, 1]))
+        elif kind == "g-zero":      # no finite ratio: infinite values
+            fv = table(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+            gv = [[0] * (1 << m) for _ in range(1 << n)]
+        elif kind == "f-zero":      # both values exactly 0.0
+            fv = [[0.0] * (1 << m) for _ in range(1 << n)]
+            gv = table(st.sampled_from([1000, 2000]))
+        else:
+            fv = table(st.floats(-2, 2, allow_nan=False).map(lambda v: round(v, 3)))
+            gv = table(st.floats(0.25, 2).map(lambda v: round(v, 3)))
+        new = verify.TwoBlockMinimax.from_tables(fv, gv, n, m)
+        ref = ReferenceMinimax(fv, gv, n, m)
+        assert repr((new.infsup(), new.supinf())) == repr((ref.infsup(), ref.supinf())), \
+            (kind, fv, gv)
+
+    check()
 
 
 def test_check_sion_skips_bad_structure():
