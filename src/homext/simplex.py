@@ -1,7 +1,7 @@
 """Dense two-phase simplex.
 
-Small, deterministic LP kernel for the residual programs, saddle-point
-bisections and quotient-norm evaluations.  Problems here have at most a
+Small, deterministic LP kernel for the residual programs, the saddle-point
+cone LPs and quotient-norm evaluations.  Problems here have at most a
 few hundred nonzeros, so a dense tableau is the simplest reliable choice.
 
 Pricing is Dantzig's rule with ties broken by column index and the ratio
@@ -29,6 +29,14 @@ not end optimal are solved again with Bland's rule throughout; a
 certified "infeasible" is not.  When neither pass gives a checked
 verdict the status is "numerical", which callers read as "no optimum"
 just as they read "infeasible".
+
+An "optimal" result carries optimal duals y, the sensitivities
+d objective / d b_i of the caller's rows (the sign convention of HiGHS's
+marginals): y.b is the objective and c - y.A >= 0 on the nonnegative
+columns, so from ``linprog`` y_i <= 0 on an inequality row
+a_i.x <= b_i.  Phase 2 keeps the artificial columns of phase 1 as
+columns that never enter; they hold B^-1, and y = c_B B^-1 is minus
+their final reduced costs, read as a slice of the last tableau row.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ class LPResult:
     # checked Farkas certificate on the caller's rows A, b (from linprog,
     # on the standard form it builds)
     certificate: Optional[np.ndarray] = None
+    # optimal duals of an "optimal" verdict, d objective / d b per row:
+    # from solve_standard on the rows of A, from linprog on the rows of
+    # A_ub and then A_eq (see the module docstring)
+    duals: Optional[np.ndarray] = None
 
 
 def _pivot(T, basis, row, col):
@@ -129,9 +141,10 @@ def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
                     _pivot(T, basis, i, j)
                     break
 
+    # the artificial columns stay, never priced, so that they hold B^-1
     keep = [i for i in range(m) if basis[i] < n]
-    T2 = np.zeros((len(keep) + 1, n + 1))
-    T2[:len(keep), :n] = T[keep][:, :n]
+    T2 = np.zeros((len(keep) + 1, n + m + 1))
+    T2[:len(keep), :n + m] = T[keep][:, :n + m]
     T2[:len(keep), -1] = T[keep][:, -1]
     basis2 = [basis[i] for i in keep]
     T2[-1, :n] = c
@@ -145,7 +158,7 @@ def _solve_standard_once(c, A, b, bland: bool) -> LPResult:
     x = np.zeros(n)
     for i, bi in enumerate(basis2):
         x[bi] = T2[i, -1]
-    return LPResult("optimal", x, float(c @ x))
+    return LPResult("optimal", x, float(c @ x), duals=-T2[-1, n:n + m])
 
 
 def solve_standard(c, A, b) -> LPResult:
@@ -174,6 +187,8 @@ def solve_standard(c, A, b) -> LPResult:
         if res.status == "optimal":
             if np.all(res.x >= -1e-9) and \
                     np.abs(A @ res.x - b).max(initial=0.0) <= 1e-7 * atol:
+                y = res.duals / scale
+                res.duals = np.where(neg, -y, y)
                 return res
         elif res.status == "infeasible":
             y = res.certificate / scale
@@ -232,13 +247,8 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     x = shift + y[u]
     if free:
         x[free] = y[u][free] - y[v]
-    return LPResult("optimal", x, float(c @ x))
-
-
-def lp_feasible(A_ub, b_ub, A_eq=None, b_eq=None, bounds=None) -> bool:
-    n = np.asarray(A_ub if A_ub is not None else A_eq).shape[1]
-    res = linprog(np.zeros(n), A_ub, b_ub, A_eq, b_eq, bounds)
-    return res.status == "optimal"
+    duals = np.delete(res.duals, np.s_[A_ub.shape[0]:n_slack])   # not the bound rows
+    return LPResult("optimal", x, float(c @ x), duals=duals)
 
 
 def l1_residual_lp(A, b, w, lin=None, radius=None) -> LPResult:

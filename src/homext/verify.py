@@ -3,9 +3,9 @@ computation, with a structured pass/fail report per check.
 
 Every check is reproducible from (check id, seed); random instances are
 drawn from generators seeded per check.  Continuous minimax values of
-two-block extensions are computed exactly (to bisection tolerance) by
-reducing the inner player to indicator vertices and the outer player to
-per-ordering-cone linear programs.
+two-block extensions are computed to a certified bracket by reducing the
+inner player to indicator vertices and the outer player to a
+fractional program per ordering cone, solved by linear programs.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import constants as cst
 from . import extend, setfn, spectra
 from .setfn import SetTupleFunction, full_mask, mask_members, mask_of, popcount
-from .simplex import linprog, lp_feasible
+from .simplex import LPResult, linprog
 from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
                          WeightedGraph, adjacency_tensor, huang_signing,
                          hypercube)
@@ -151,21 +151,102 @@ def _is_linear(F, G, n: int, m: int) -> bool:
     return _is_modular_zero_side(F, n, m) and _is_modular_zero_side(G, n, m)
 
 
+def _ratios(num, den):
+    """Elementwise ratio_value(num, den) with 0/0 read as -inf.  Over the
+    inner sets B the max is the sup (-inf over no B); over the columns of
+    a dual combination the min is a lower bound, which a 0/0 voids."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / den, np.where(num > 0, np.inf, -np.inf))
+
+
+def _dyadic(x):
+    """Integers N and a shift s with x == N / 2**s exactly, for floats x."""
+    pairs = [v.as_integer_ratio() for v in np.ravel(x).tolist()]
+    s = max(d.bit_length() for _, d in pairs) - 1
+    return [p << (s + 1 - d.bit_length()) for p, d in pairs], s
+
+
+def _exact_ratios(N, D, v):
+    """_ratios(N @ v, D @ v) in exact arithmetic: one Fraction, or +-inf
+    where D @ v is 0, per row of N and D."""
+    cols = N.shape[1]
+    Ni, sN = _dyadic(N)
+    Di, sD = _dyadic(D)
+    vi, _ = _dyadic(v)
+    out = []
+    for j in range(0, len(Ni), cols):
+        a = sum(x * y for x, y in zip(Ni[j:j + cols], vi))
+        b = sum(x * y for x, y in zip(Di[j:j + cols], vi))
+        out.append(Fraction(a << sD, b << sN) if b > 0 else (np.inf if a > 0 else -np.inf))
+    return out
+
+
+def _rounded(x, direction=0):
+    """The float nearest the exact x (a Fraction or +-inf), or the next
+    float up (direction > 0) or down (< 0) when that one is not exact."""
+    if not isinstance(x, Fraction):
+        return float(x)
+    f = float(x)
+    if direction and (Fraction(f) - x) * direction < 0:
+        f = float(np.nextafter(f, direction * np.inf))
+    return f
+
+
+@dataclass(frozen=True)
+class MinimaxBracket:
+    """lo <= value <= hi for one direction of ``TwoBlockMinimax``, both
+    ends exact bounds rounded outward.
+
+    The certificates are in the frame of the side solved, whose least
+    ratio s is the infsup value itself or minus the supinf value: ``point``
+    is the outer point (chain, w), x = sum_i w_i 1_{chain[i]}, whose max
+    ratio over B is s's upper bound (None when s is +inf); ``duals`` holds
+    per cone (chain, q), q >= 0 on the nonempty inner sets, whose least
+    column ratio (q.F'_u)/(q.G_u) bounds that cone's value below."""
+    lo: float
+    hi: float
+    point: object
+    duals: tuple
+
+
 class TwoBlockMinimax:
     """inf_x sup_y and sup_y inf_x of f^Q(x,y)/g^Q(x,y) over the closed
     nonnegative cones, for f, g on P(V1) x P(V2).
 
     The inner player is reduced to indicator vertices (the extension is
-    linear on ordering cells), the outer player to a feasibility LP per
-    ordering cone, and the value found by bisection; both directions are
-    exact up to the bisection tolerance.
+    linear on ordering cells), so on the ordering cone with chain
+    U_1 > ... > U_n the outer player solves the generalized linear-fractional
+    program min over w in the simplex of max_B (F'_B.w)/(G_B.w), with
+    F'_B.w = sign * f^Q(sum_i w_i 1_{U_i}, 1_B) and G_B.w likewise
+    (one cone of singletons when the outer block is globally linear).
+
+    Per side, one best value t is kept across cones, starting from the
+    best indicator vertex.  On a cone, the LP min z s.t.
+    (F'_B - t G_B).w <= z for every nonempty B (the matrix-game LP of
+    ``game_lp_value``) either prunes it or gives a w whose max ratio is the
+    next t (Dinkelbach; Crouzeix, Ferland & Schaible, JOTA 47, 1985).  The
+    LP's dual q bounds the cone below by min_u (q.F'_u)/(q.G_u); a cone is
+    done when that bound is within tol/2 of t, probing just below t when
+    the LP at t makes no progress.  Running out of ``iters`` steps on a
+    cone raises ``CapExceeded``, and so does a final bracket that exact
+    arithmetic does not confirm within tol.
+
+    The value is the max ratio at the best w, computed exactly and rounded
+    to nearest; ``infsup_bracket``/``supinf_bracket`` keep the exact
+    bracket rounded outward with its certificates (``MinimaxBracket``).
+    Values that are +-inf come back as +-inf: -inf from a point whose every
+    ratio is -inf or 0/0, +inf from duals on the G = 0 rows of every cone.
+    When every indicator vertex is +inf and some cone has neither such a
+    dual nor a point found with a finite ratio, no bracket can be
+    certified and the solve raises ``CapExceeded``.
 
     One routine serves both directions.  sup_y inf_x f/g is minus
     inf_y sup_x (-f)/g: the mirror swaps the blocks (transposed tables)
-    and negates every row, and its bisection runs on s = -t.  IEEE
-    negation is exact, so the mirror probes the same t with the same LP
-    rows as a bisection on t itself would.
+    and negates f, so its rows are sign * F - s * G with sign = -1.
     """
+
+    infsup_bracket: Optional[MinimaxBracket] = None
+    supinf_bracket: Optional[MinimaxBracket] = None
 
     def __init__(self, f: SetTupleFunction, g: SetTupleFunction):
         if f.k != 2 or g.k != 2:
@@ -186,81 +267,112 @@ class TwoBlockMinimax:
         return obj
 
     def _set_tables(self, fv, gv, n, m):
-        """Store the two orientations every probe reads: the tables indexed
+        """Store the two orientations a solve reads: the tables indexed
         [outer set][inner set], the outer and inner block sizes, whether
-        the outer block is globally linear, and the row sign."""
+        the outer block is globally linear, and the sign of f."""
         fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
         gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
         self._infsup_side = (fv, gv, n, m, _is_linear(fv, gv, n, m), 1.0)
         self._supinf_side = (fT, gT, m, n, _is_linear(fT, gT, m, n), -1.0)
 
     @staticmethod
-    def _feasible(side, t: float) -> bool:
-        """exists x >= 0 nonzero on the outer block with
-        sign * (F(x, 1_B) - t G(x, 1_B)) <= 0 for every nonempty inner B;
-        one LP when the outer block is linear, else one per ordering cone."""
+    def _least_ratio(side, tol, iters):
+        """(s, lo, hi, point, duals): the side's least max ratio s, rounded
+        to nearest, and its bracket and certificates (``MinimaxBracket``)."""
         F, G, n, m, linear, sign = side
         if linear:
-            chains = [[1 << i for i in range(n)]]
+            cones = [[1 << i for i in range(n)]]
         elif n > MINIMAX_CONE_CAP:
             block = "n" if sign > 0 else "m"
             raise setfn.CapExceeded(f"cone enumeration capped at {block} <= {MINIMAX_CONE_CAP}")
         else:
-            chains = (_chain_sets(n, sigma) for sigma in permutations(range(n)))
-        bs = range(1, 1 << m)
-        for chain in chains:
-            rows = [[sign * (F[u][b] - t * G[u][b]) for u in chain] for b in bs]
-            if lp_feasible(np.array(rows), np.zeros(len(rows)), np.ones((1, n)), [1.0]):
-                return True
-        return False
+            cones = [_chain_sets(n, sigma) for sigma in permutations(range(n))]
+        Fa = sign * np.array(F, dtype=float)[:, 1:]      # [outer set][nonempty B]
+        Ga = np.array(G, dtype=float)[:, 1:]
+        vertex = _ratios(Fa[1:], Ga[1:]).max(axis=1)
+        a = int(np.argmin(vertex)) + 1
+        t, point = vertex[a - 1], ([a], np.ones(1))
+        duals = {}                                       # cone index -> q
 
-    @classmethod
-    def _least_feasible(cls, side, tol, iters) -> float:
-        """Least s with side feasible at t = sign * s, to the bisection
-        tolerance; inf when no s tried is feasible."""
-        F, G, n, m, _, sign = side
-
-        def feasible(s):
-            # 0.0 - s, not -s: s = +-0.0 is t = +0.0, as a bisection on t has it
-            return cls._feasible(side, s if sign > 0 else 0.0 - s)
-
-        finite = []
-        for a in range(1, 1 << n):
-            for b in range(1, 1 << m):
-                r = ratio_value(F[a][b], G[a][b])
-                if r is not None and np.isfinite(r):
-                    finite.append(sign * r)
-        lo, hi = (min(finite) - 1.0, max(finite) + 1.0) if finite else (-1.0, 1.0)
-        for _ in range(30):
-            if feasible(hi):
-                break
-            hi = 2 * hi - lo
-        else:
-            return np.inf
-        for _ in range(30):
-            if not feasible(lo):
-                break
-            lo = 2 * lo - hi
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
+        if t == np.inf:
+            # every vertex ratio is +inf.  A cone whose G = 0 rows have a
+            # combination positive on every column is +inf; otherwise the
+            # LP over those rows gives a point, moved inside the cone when
+            # its value is negative, that may have a finite max ratio.
+            for k, chain in enumerate(cones):
+                Fo, Go = Fa[chain], Ga[chain]
+                zero = ~Go.any(axis=0)
+                w = np.full(n, 1.0 / n)
+                if zero.any():
+                    res = _game_lp(Fo[:, zero])
+                    q = np.zeros(Fo.shape[1])
+                    q[zero] = np.maximum(-res.duals[:zero.sum()], 0.0)
+                    if _ratios(Fo @ q, Go @ q).min() == np.inf:
+                        duals[k] = q
+                        continue
+                    z = res.objective
+                    w = np.maximum(res.x[:n], 0.0)
+                    if z < 0:
+                        w += 0.5 * z / (z - np.abs(Fo).max()) * (1.0 / n - w)
+                r = _ratios(w @ Fo, w @ Go).max()
+                if r < np.inf:
+                    t, point = r, (chain, w)
+                    break
             else:
-                lo = mid
-            if hi - lo <= tol * max(1.0, abs(hi)):
-                break
-        return hi
+                if len(duals) < len(cones):
+                    raise setfn.CapExceeded("minimax: no point with a finite ratio found "
+                                            "on a cone that is not certified +inf")
+                point = None
+
+        for k, chain in enumerate(cones):
+            if k in duals or t == -np.inf:
+                continue
+            Fo, Go = Fa[chain], Ga[chain]
+            probe = t
+            for _ in range(iters):
+                res = _game_lp(Fo - probe * Go)
+                w = np.maximum(res.x[:n], 0.0)
+                q = np.maximum(-res.duals[:Fo.shape[1]], 0.0)
+                r = _ratios(w @ Fo, w @ Go).max()
+                if r < t:
+                    t, point = r, (chain, w)
+                width = 0.5 * tol * max(1.0, abs(t))
+                if t == -np.inf or _ratios(Fo @ q, Go @ q).min() >= t - width:
+                    break
+                probe = t if t < probe else t - width
+            else:
+                raise setfn.CapExceeded(f"minimax cone not certified in {iters} Dinkelbach steps")
+            duals[k] = q
+
+        hi = np.inf
+        if point is not None:
+            chain, w = point
+            hi = max(_exact_ratios(Fa[chain].T, Ga[chain].T, w))
+        lo = hi if hi == -np.inf else min(
+            (min(_exact_ratios(Fa[cones[k]][:, q > 0], Ga[cones[k]][:, q > 0], q[q > 0]))
+             for k, q in duals.items()), default=-np.inf)
+        s, lo, hi = _rounded(hi), _rounded(lo, -1), _rounded(hi, 1)
+        # the float steps above can disagree with exact arithmetic only
+        # where rounding decides a sign; the exact bracket has the last word
+        if not (lo == hi or hi - lo <= tol * max(1.0, abs(s))):
+            raise setfn.CapExceeded(f"minimax bracket [{lo!r}, {hi!r}] not certified to {tol}")
+        return s, lo, hi, point, tuple((cones[k], q) for k, q in sorted(duals.items()))
 
     def infsup(self, tol=1e-10, iters=60) -> float:
-        return self._least_feasible(self._infsup_side, tol, iters)
+        s, lo, hi, point, duals = self._least_ratio(self._infsup_side, tol, iters)
+        self.infsup_bracket = MinimaxBracket(lo, hi, point, duals)
+        return s
 
     def supinf(self, tol=1e-10, iters=60) -> float:
-        return 0.0 - self._least_feasible(self._supinf_side, tol, iters)
+        s, lo, hi, point, duals = self._least_ratio(self._supinf_side, tol, iters)
+        self.supinf_bracket = MinimaxBracket(0.0 - hi, 0.0 - lo, point, duals)
+        return 0.0 - s
 
 
-def game_lp_value(C) -> float:
-    """Value of the matrix game: min over p in the simplex of
-    max_j (C^T p)_j, by one linear program."""
+def _game_lp(C) -> LPResult:
+    """The matrix-game LP min v over p in the simplex with C^T p <= v:
+    x = (p, v), objective v, and duals[:m] minus the column player's
+    optimal mixed strategy.  A result that is not optimal raises."""
     C = np.asarray(C, dtype=float)
     n, m = C.shape
     # vars: p (n), v free; C^T p - v <= 0; sum p = 1
@@ -272,7 +384,13 @@ def game_lp_value(C) -> float:
                   bounds=[(0.0, None)] * n + [(None, None)])
     if res.status != "optimal":
         raise RuntimeError("game LP failed")
-    return float(res.objective)
+    return res
+
+
+def game_lp_value(C) -> float:
+    """Value of the matrix game: min over p in the simplex of
+    max_j (C^T p)_j, by one linear program."""
+    return float(_game_lp(C).objective)
 
 
 # ---------------------------------------------------------------------------

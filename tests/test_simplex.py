@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homext.simplex import (PIVOT_TOL, LPResult, _pivot, _solve_standard_once,
-                            l1_residual_lp, linprog, lp_feasible, solve_standard)
+                            l1_residual_lp, linprog, solve_standard)
 
 
 def vertex_oracle(c, A_ub, b_ub):
@@ -61,7 +61,8 @@ def test_standard_form_small():
 def test_infeasible():
     res = linprog([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -3.0])
     assert res.status == "infeasible"
-    assert not lp_feasible([[1.0], [-1.0]], [1.0, -3.0])
+    # the certificate is on the standard form linprog builds: x and two slacks
+    _assert_certificate(res, [[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], [1.0, -3.0])
 
 
 def test_unbounded():
@@ -199,17 +200,69 @@ def test_inequality_form_agrees_with_highs():
     check()
 
 
+def test_duals_agree_with_highs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+    checked = []
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, 5), st.integers(1, 4), st.booleans(), st.data())
+    def check(m, n, with_eq, data):
+        ints = st.integers(-5, 5)
+        A = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), float).reshape(m, n)
+        b = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), float)
+        c = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), float)
+        bounds = data.draw(st.lists(st.sampled_from([(0.0, None), (None, None), (0.0, 3.0)]),
+                                    min_size=n, max_size=n))
+        free = np.array([lo is None for lo, _ in bounds])
+        capped = np.array([hi is not None for _, hi in bounds])
+        A_eq, b_eq = (np.ones((1, n)), np.array([1.0])) if with_eq else (np.zeros((0, n)), np.zeros(0))
+        args = dict(A_ub=A if m else None, b_ub=b if m else None,
+                    A_eq=A_eq if with_eq else None, b_eq=b_eq if with_eq else None, bounds=bounds)
+        res = linprog(c, **args)
+        if res.status != "optimal":
+            return
+        # the rows of A_ub then A_eq, not the bound rows; HiGHS's signs
+        y, rows, rhs = res.duals, np.vstack([A, A_eq]), np.concatenate([b, b_eq])
+        assert y.shape == (rows.shape[0],) and np.all(y[:m] <= 1e-9)
+        # dual feasibility and strong duality, the caps' duals being the
+        # negative parts of their reduced costs
+        reduced = c - y @ rows
+        assert np.all(reduced[~free & ~capped] >= -1e-9)
+        assert np.allclose(reduced[free], 0.0, atol=1e-9)
+        assert np.isclose(y @ rhs + 3.0 * np.minimum(reduced[capped], 0.0).sum(),
+                          res.objective, rtol=1e-9, atol=1e-9)
+        ref = optimize.linprog(c, method="highs", **args)
+        assert ref.status == 0
+        marginals = np.concatenate([ref.ineqlin.marginals if m else [],
+                                    ref.eqlin.marginals if with_eq else []])
+        # a nondegenerate optimum has one dual: HiGHS's marginals
+        positive = ((np.abs(ref.x) > 1e-9).sum() + (b - A @ ref.x > 1e-9).sum()
+                    + (3.0 - ref.x[capped] > 1e-9).sum())
+        if positive == rows.shape[0] + capped.sum():
+            assert np.allclose(y, marginals, atol=1e-7), (A, b, c, bounds, y, marginals)
+            checked.append(1)
+
+    check()
+    assert len(checked) >= 50
+
+
 def _saddle_lps():
     """Every standard-form LP of the bisections of the path P3 instance,
     with solve_standard's verdict and the equilibrated data of its first
-    pass."""
+    pass.  The bisection is the test-side reference: the engine solves
+    optimization LPs, none of them infeasible."""
     from homext import simplex
     from homext.setfn import SetTupleFunction, popcount
     from homext.structures import WeightedGraph
-    from homext.verify import TwoBlockMinimax
+    from reference_minimax import ReferenceMinimax
 
     f = WeightedGraph.path(3).ordered_edge_count()
     g = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
+    fv = [[float(f(a, b)) for b in range(8)] for a in range(8)]
+    gv = [[float(g(a, b)) for b in range(8)] for a in range(8)]
     once, solve = simplex._solve_standard_once, simplex.solve_standard
     passes, lps = [], []
 
@@ -226,8 +279,8 @@ def _saddle_lps():
     simplex._solve_standard_once = record_once
     simplex.solve_standard = record_solve
     try:
-        eng = TwoBlockMinimax(f, g)
-        eng.infsup(), eng.supinf()
+        ref = ReferenceMinimax(fv, gv, 3, 3)
+        ref.infsup(), ref.supinf()
     finally:
         simplex._solve_standard_once = once
         simplex.solve_standard = solve

@@ -2,14 +2,16 @@
 ratio conventions, report determinism, and suite smoke runs."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
 
-from homext import simplex, verify
-from homext.setfn import SetTupleFunction, mask_members, popcount
+from homext import verify
+from homext.setfn import CapExceeded, SetTupleFunction, mask_members, popcount
 from homext.structures import WeightedGraph
+
+from reference_minimax import ReferenceMinimax, assert_bracket_exact
 
 
 def test_ratio_convention():
@@ -108,112 +110,7 @@ def test_engine_rejects_distinct_ground_sets():
             verify.TwoBlockMinimax(f, g)
 
 
-class ReferenceMinimax:
-    """The former engine: one feasibility probe and one bisection per
-    direction, the sup inf side on the transposed tables."""
-
-    def __init__(self, fv, gv, n, m):
-        self.n, self.m = n, m
-        self.fv, self.gv = fv, gv
-        self.fT = [[fv[a][b] for a in range(1 << n)] for b in range(1 << m)]
-        self.gT = [[gv[a][b] for a in range(1 << n)] for b in range(1 << m)]
-        self.linear_first = (verify._is_modular_zero_side(fv, n, m)
-                             and verify._is_modular_zero_side(gv, n, m))
-        self.linear_second = (verify._is_modular_zero_side(self.fT, m, n)
-                              and verify._is_modular_zero_side(self.gT, m, n))
-
-    @staticmethod
-    def _simplex_feasible(rows):
-        rows = np.asarray(rows, dtype=float)
-        k = rows.shape[1]
-        res = simplex.linprog(np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                              A_eq=np.ones((1, k)), b_eq=[1.0])
-        return res.status == "optimal"
-
-    def _feasible_infsup(self, t):
-        n, m = self.n, self.m
-        bs = range(1, 1 << m)
-        if self.linear_first:
-            return self._simplex_feasible(
-                [[self.fv[1 << i][b] - t * self.gv[1 << i][b] for i in range(n)] for b in bs])
-        for sigma in permutations(range(n)):
-            chain = verify._chain_sets(n, sigma)
-            rows = [[self.fv[u][b] - t * self.gv[u][b] for u in chain] for b in bs]
-            if self._simplex_feasible(rows):
-                return True
-        return False
-
-    def _feasible_supinf(self, t):
-        n, m = self.n, self.m
-        fT, gT = self.fT, self.gT
-        a_range = range(1, 1 << n)
-        if self.linear_second:
-            return self._simplex_feasible(
-                [[-(fT[1 << j][a] - t * gT[1 << j][a]) for j in range(m)] for a in a_range])
-        for tau in permutations(range(m)):
-            chain = verify._chain_sets(m, tau)
-            rows = [[-(fT[u][a] - t * gT[u][a]) for u in chain] for a in a_range]
-            if self._simplex_feasible(rows):
-                return True
-        return False
-
-    def _bracket(self):
-        finite = []
-        for a in range(1, 1 << self.n):
-            for b in range(1, 1 << self.m):
-                r = verify.ratio_value(self.fv[a][b], self.gv[a][b])
-                if r is not None and np.isfinite(r):
-                    finite.append(r)
-        if not finite:
-            return -1.0, 1.0
-        return min(finite) - 1.0, max(finite) + 1.0
-
-    def infsup(self, tol=1e-10, iters=60):
-        lo, hi = self._bracket()
-        for _ in range(30):
-            if self._feasible_infsup(hi):
-                break
-            hi = 2 * hi - lo
-        else:
-            return np.inf
-        for _ in range(30):
-            if not self._feasible_infsup(lo):
-                break
-            lo = 2 * lo - hi
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self._feasible_infsup(mid):
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= tol * max(1.0, abs(hi)):
-                break
-        return hi
-
-    def supinf(self, tol=1e-10, iters=60):
-        lo, hi = self._bracket()
-        for _ in range(30):
-            if self._feasible_supinf(lo):
-                break
-            lo = 2 * lo - hi
-        else:
-            return -np.inf
-        for _ in range(30):
-            if not self._feasible_supinf(hi):
-                break
-            hi = 2 * hi - lo
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self._feasible_supinf(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, abs(lo)):
-                break
-        return lo
-
-
-def test_engine_bitwise_equal_to_two_direction_reference():
+def test_engine_agrees_with_bisection_reference():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -253,10 +150,89 @@ def test_engine_bitwise_equal_to_two_direction_reference():
             gv = table(st.floats(0.25, 2).map(lambda v: round(v, 3)))
         new = verify.TwoBlockMinimax.from_tables(fv, gv, n, m)
         ref = ReferenceMinimax(fv, gv, n, m)
-        assert repr((new.infsup(), new.supinf())) == repr((ref.infsup(), ref.supinf())), \
-            (kind, fv, gv)
+        for direction in ("infsup", "supinf"):
+            got, want = getattr(new, direction)(), getattr(ref, direction)()
+            want = ref.limit.get(direction, want)
+            if np.isinf(want):
+                assert got == want, (kind, direction, fv, gv, got)
+            else:
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), \
+                    (kind, direction, fv, gv, got, want)
+            assert_bracket_exact(new, direction, got)
 
     check()
+
+
+def test_engine_brackets_exact_on_seed_suites(monkeypatch):
+    solved = []
+    for direction in ("infsup", "supinf"):
+        def record(self, *args, _solve=getattr(verify.TwoBlockMinimax, direction),
+                   _direction=direction, **kwargs):
+            value = _solve(self, *args, **kwargs)
+            solved.append((self, _direction, value))
+            return value
+        monkeypatch.setattr(verify.TwoBlockMinimax, direction, record)
+    reps = verify.suite_saddle(seed=42) + verify.suite_sion(seed=42)
+    assert all(r.verdict == "pass" for r in reps)
+    assert len(solved) == 2 * len(reps)
+    for engine, direction, value in solved:
+        assert_bracket_exact(engine, direction, value)
+
+
+def test_engine_zero_f_with_large_g():
+    # the bisection read a feasible probe with a slack of 1e12 as certified
+    # infeasible (the Farkas check's PIVOT_TOL margin) and gave (inf, -inf)
+    for n in (1, 2):
+        fv = [[0.0] * (1 << n) for _ in range(1 << n)]
+        gv = [[1e12] * (1 << n) for _ in range(1 << n)]
+        eng = verify.TwoBlockMinimax.from_tables(fv, gv, n, n)
+        assert repr((eng.infsup(), eng.supinf())) == repr((0.0, 0.0))
+        assert_bracket_exact(eng, "infsup", 0.0)
+        assert_bracket_exact(eng, "supinf", 0.0)
+
+
+def test_engine_infinite_values_with_zero_g():
+    # the bisection ran out of bracket expansions and gave -+2147483646.875
+    g = [[0, 0], [0, 0]]
+    eng = verify.TwoBlockMinimax.from_tables([[-1.0, -1.0], [-1.0, -1.0]], g, 1, 1)
+    assert eng.infsup() == -np.inf
+    assert_bracket_exact(eng, "infsup", -np.inf)
+    eng = verify.TwoBlockMinimax.from_tables([[1.0, 1.0], [1.0, 1.0]], g, 1, 1)
+    assert eng.supinf() == np.inf
+    assert_bracket_exact(eng, "supinf", np.inf)
+
+
+def test_engine_finite_value_with_every_vertex_infinite():
+    # every indicator vertex has a ratio 1/0, yet on the cone x_1 >= x_0
+    # the value is 0 (at x_0 = x_1); the other cone is +inf
+    fv = [[0, 0, 0, 0], [0, 1, -1, -1], [0, -1, 1, -1], [0, 1, -1, -1]]
+    gv = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    fv = [[float(v) for v in row] for row in fv]
+    eng = verify.TwoBlockMinimax.from_tables(fv, gv, 2, 2)
+    ref = ReferenceMinimax(fv, gv, 2, 2)
+    assert eng.infsup() == 0.0 and abs(ref.infsup()) <= 1e-8
+    assert_bracket_exact(eng, "infsup", 0.0)
+
+
+def test_engine_uncertified_infinity_raises():
+    # every x has a ratio 1/0 (inner B = {1} when x_1 > 0, B = {0} when
+    # x_1 = 0), but no dual on the G = 0 rows of a cone shows it: the least
+    # max over those rows is 0.  No value is returned for it.
+    fv = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 1, 0, 0]]
+    gv = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 1]]
+    fv = [[float(v) for v in row] for row in fv]
+    eng = verify.TwoBlockMinimax.from_tables(fv, gv, 2, 2)
+    with pytest.raises(CapExceeded):
+        eng.infsup()
+
+
+def test_engine_iteration_cap_raises():
+    f = WeightedGraph.path(3).ordered_edge_count()
+    g = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
+    eng = verify.TwoBlockMinimax(f, g)
+    with pytest.raises(CapExceeded):
+        eng.infsup(iters=1)
+    assert eng.infsup() == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
 def test_check_sion_skips_bad_structure():
