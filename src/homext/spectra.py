@@ -55,23 +55,21 @@ def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = float(A[p, q])
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
+                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0)) \
                     if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp, rq = A[p].copy(), A[q].copy()
-                A[p] = c * rp - s * rq
-                A[q] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                # each right-hand side is built before either row is written
+                rp, rq = A[p], A[q]
+                A[p], A[q] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = A[:, p], A[:, q]
+                A[:, p], A[:, q] = c * cp - s * cq, s * cp + c * cq
+                vp, vq = V[:, p], V[:, q]
+                V[:, p], V[:, q] = c * vp - s * vq, s * vp + c * vq
     w = np.diag(A).copy()
     order = np.argsort(w, kind="stable")
     return w[order], V[:, order]
@@ -270,16 +268,21 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
     exactF = None
     exactG = None
     if np.allclose(W, np.round(W)):
+        # integer weights, rounded once; int coordinates stay int and only
+        # the total becomes a Fraction
+        isgn = 1 if signless else -1
+        iedges = [(i, j, int(round(w))) for i, j, w in edges]
+        ideg = [int(round(d)) for d in deg]
+
+        def _exact(v):
+            return v if isinstance(v, int) else Fraction(v)
+
         def exactF(x):
-            s = Fraction(0)
-            for i, j, w in edges:
-                t = Fraction(x[i]) + (Fraction(x[j]) if signless else -Fraction(x[j]))
-                s += Fraction(int(round(w))) * abs(t)
-            return s
+            x = [_exact(v) for v in x]
+            return Fraction(sum(w * abs(x[i] + isgn * x[j]) for i, j, w in iedges))
 
         def exactG(x):
-            return sum(Fraction(int(round(deg[i]))) * abs(Fraction(x[i]))
-                       for i in range(graph.n))
+            return Fraction(sum(d * abs(_exact(v)) for d, v in zip(ideg, x)))
 
     return HomogeneousPair(1.0, F, G, F_sub, G_sub,
                            tag="signless-one-laplacian" if signless else "one-laplacian",
@@ -391,13 +394,28 @@ def diagonal_tensor(k: int, n: int, weights=None) -> SymmetricTensor:
 # residual certification
 # ---------------------------------------------------------------------------
 
+def _interval_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
+    """Lower bound on ``polytope_gap`` without an LP: the largest distance
+    from 0 to a coordinate's range of u_i - lam v_i, which is
+    center +- sum |segments| plus the points' coordinate-wise min and max.
+    Equal to ``polytope_gap`` on singletons."""
+    c = U.center - lam * V.center
+    r = np.abs(U.segments).sum(axis=0) + np.abs(lam * V.segments).sum(axis=0)
+    for P in (U.points, -lam * V.points):
+        if P.shape[0]:
+            lo, hi = P.min(axis=0), P.max(axis=0)
+            c = c + 0.5 * (lo + hi)
+            r = r + 0.5 * (hi - lo)
+    return max(float(np.max(np.abs(c) - r)), 0.0)
+
+
 def polytope_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
     """min over u in U, v in V of ||u - lam v||_inf, by LP."""
     n = U.n
     mF, rF = U.segments.shape[0], U.points.shape[0]
     mG, rG = V.segments.shape[0], V.points.shape[0]
     if U.is_singleton() and V.is_singleton():
-        return float(np.max(np.abs(U.center - lam * V.center)))
+        return _interval_gap(U, V, lam)
     nv = mF + rF + mG + rG + 1
     idx_eps = nv - 1
     const = U.center - lam * V.center
@@ -881,11 +899,20 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     """Certified eigenvalues with witnesses in {-1,0,1}^n.
 
     Every nonzero ternary vector (up to global sign; the pair is even) is
-    scored by lambda = F(x)/G(x) and kept when the residual program
-    certifies the eigenpair.  For pairs whose linearity cells are
-    simplicial cones on ternary rays (graph 1-Laplacians and signless
-    variants) this is the whole spectrum; otherwise a certified subset,
-    which the ``exact_for_pair`` flag records.
+    scored by lambda = F(x)/G(x), exactly when the pair has ``exact_F``,
+    and then decided in this order:
+
+    1. lambda within ``tol`` of an eigenvalue already found: skipped before
+       any subgradient is built, as a certified result would be dropped;
+    2. the interval bound ``_interval_gap`` on min ||u - lambda v||_inf
+       over dF(x) x dG(x) exceeds ``tol``: rejected.  The bound is a lower
+       bound on the true residual, so this rejection is certified;
+    3. otherwise kept when the residual LP ``polytope_gap`` certifies the
+       eigenpair.
+
+    For pairs whose linearity cells are simplicial cones on ternary rays
+    (graph 1-Laplacians and signless variants) this is the whole spectrum;
+    otherwise a certified subset, which the ``exact_for_pair`` flag records.
     """
     if n > TERNARY_CAP:
         raise ValueError(f"ternary enumeration capped at n <= {TERNARY_CAP}")
@@ -907,12 +934,13 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
             lam_exact = None
             lam = pair.ratio(x)
         seen.add(lam_exact if lam_exact is not None else round(lam, 12))
-        if eigen_residual(pair, lam, x) <= tol:
-            key = lam_exact if lam_exact is not None else lam
-            close = [k for k in found if abs(float(k) - lam) <= tol]
-            if close:
-                continue
-            found[key] = digits
+        if any(abs(float(k) - lam) <= tol for k in found):
+            continue
+        U, V = pair.F_subgrad(x), pair.G_subgrad(x)
+        if _interval_gap(U, V, lam) > tol:
+            continue
+        if polytope_gap(U, V, lam) <= tol:
+            found[lam_exact if lam_exact is not None else lam] = digits
     vals = sorted(found.keys(), key=float)
     return TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
                            pair.tag in EXACT_TERNARY_TAGS, tested)

@@ -1,0 +1,100 @@
+"""Test-side references for the spectral layer: the Jacobi loop that copied
+its rows and columns, the ternary enumeration that ran the residual LP on
+every vector, and the one-Laplacian's exact F and G in Fraction arithmetic."""
+
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+
+from homext import spectra
+
+
+def jacobi_eigh_with_copies(S):
+    """``spectra.jacobi_eigh`` with numpy scalars and six row/column copies
+    per rotation."""
+    A = np.array(S, dtype=float)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    A = 0.5 * (A + A.T)
+    V = np.eye(n)
+    scale = max(1.0, np.abs(A).max())
+    for _ in range(spectra.JACOBI_MAX_SWEEPS):
+        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2)
+        if off <= spectra.JACOBI_SWEEP_TOL * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
+                    if theta != 0 else 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = A[p].copy(), A[q].copy()
+                A[p] = c * rp - s * rq
+                A[q] = s * rp + c * rq
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    w = np.diag(A).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
+def ternary_residual_first(pair, n, tol=1e-8):
+    """``spectra.ternary_eigen_enumerate`` as it was before the closeness
+    skip and the interval bound: the residual LP on every vector, the
+    closeness to found eigenvalues checked afterwards."""
+    found = {}
+    seen = set()
+    tested = 0
+    for digits in product((-1, 0, 1), repeat=n):
+        if all(d == 0 for d in digits):
+            continue
+        first = next(d for d in digits if d != 0)
+        if first < 0:
+            continue
+        x = np.array(digits, dtype=float)
+        tested += 1
+        if pair.exact_F is not None:
+            lam_exact = pair.exact_F(digits) / pair.exact_G(digits)
+            lam = float(lam_exact)
+        else:
+            lam_exact = None
+            lam = pair.ratio(x)
+        seen.add(lam_exact if lam_exact is not None else round(lam, 12))
+        if spectra.eigen_residual(pair, lam, x) <= tol:
+            key = lam_exact if lam_exact is not None else lam
+            close = [k for k in found if abs(float(k) - lam) <= tol]
+            if close:
+                continue
+            found[key] = digits
+    vals = sorted(found.keys(), key=float)
+    return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
+                                   pair.tag in spectra.EXACT_TERNARY_TAGS, tested)
+
+
+def fraction_exact_pair(graph, signless=False):
+    """The one-Laplacian's exact F and G with every term a Fraction."""
+    edges = graph.edges()
+    deg = graph.degrees
+
+    def exactF(x):
+        s = Fraction(0)
+        for i, j, w in edges:
+            t = Fraction(x[i]) + (Fraction(x[j]) if signless else -Fraction(x[j]))
+            s += Fraction(int(round(w))) * abs(t)
+        return s
+
+    def exactG(x):
+        return sum(Fraction(int(round(deg[i]))) * abs(Fraction(x[i]))
+                   for i in range(graph.n))
+
+    return exactF, exactG

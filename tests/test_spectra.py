@@ -611,3 +611,145 @@ def test_dinkelbach_chemical_golden_p15():
                           0.29907069259147306, 0.19831821662762739,
                           0.16807393297119913, 0.16807393297119902]
     assert ep.converged
+
+
+# -- the residual layer against its earlier implementations ------------------
+
+def _jacobi_cases():
+    rng = np.random.default_rng(11)
+    for n in range(1, 25):
+        M = rng.normal(size=(n, n))
+        yield M + M.T
+    yield np.array([[3.5]])                               # 1 x 1
+    yield np.diag([2.0, -1.0, 2.0, 0.0])                  # zeros off the diagonal
+    yield np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    yield 3.0 * np.eye(5)                                 # one repeated eigenvalue
+    yield np.ones((6, 6))                                 # 0 five times, then 6
+    yield (WeightedGraph.complete(5).W != 0).astype(float)
+    yield WeightedGraph.cycle(6).laplacian()              # repeated pairs
+    tiny = np.diag([1.0, 2.0, 3.0])
+    tiny[0, 1] = tiny[1, 0] = 1e-300                      # skipped: at the cutoff
+    tiny[1, 2] = tiny[2, 1] = 3e-300                      # rotated: just above it
+    yield tiny
+    yield 1e-300 * np.array([[1.0, 2.0], [2.0, 5.0]])
+    yield np.array([[1.0, 1e-200], [1e-200, 2.0]])        # theta * theta overflows
+
+
+def test_jacobi_bitwise_equal_to_copying_loop():
+    from reference_spectra import jacobi_eigh_with_copies
+    for S in _jacobi_cases():
+        w, V = jacobi_eigh(S)
+        w_ref, V_ref = jacobi_eigh_with_copies(S)
+        assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes(), S
+
+
+def _spectrum_fields(s):
+    """Every TernarySpectrum field with the type of each value."""
+    return ([(v, type(v)) for v in s.eigenvalues],
+            [(k, type(k), w) for k, w in s.witnesses.items()],
+            sorted(((v, type(v)) for v in s.ratios_seen), key=lambda kv: float(kv[0])),
+            s.exact_for_pair, s.tested)
+
+
+def test_ternary_matches_residual_first_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from reference_spectra import ternary_residual_first
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 5), st.booleans(), st.booleans(),
+               st.sampled_from([1e-8, 0.2]), st.data())
+    def check(n, signless, halves, tol, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ws = data.draw(st.lists(st.integers(0, 3), min_size=len(pairs),
+                                max_size=len(pairs)))
+        W = np.zeros((n, n))
+        for (i, j), w in zip(pairs, ws):
+            W[i, j] = W[j, i] = 0.5 * w if halves else w
+        g = WeightedGraph(W)
+        hyp.assume(np.all(g.degrees > 0))
+        pair = one_laplacian_pair(g, signless=signless)
+        assert (pair.exact_F is None) == (halves and any(w % 2 for w in ws))
+        got = ternary_eigen_enumerate(pair, n, tol=tol)
+        want = ternary_residual_first(pair, n, tol=tol)
+        assert _spectrum_fields(got) == _spectrum_fields(want)
+
+    check()
+
+
+def test_ternary_composite_path_matches_residual_first_reference():
+    from reference_spectra import ternary_residual_first
+    maps = [np.diag([1.0, -1.0, 1.0, -1.0]),
+            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])]
+    for M in maps:
+        comp = one_laplacian_pair(WeightedGraph.path(4)).compose_odd_linear(M)
+        assert comp.exact_F is None
+        for tol in (1e-8, 0.2):
+            got = ternary_eigen_enumerate(comp, 4, tol=tol)
+            want = ternary_residual_first(comp, 4, tol=tol)
+            assert _spectrum_fields(got) == _spectrum_fields(want)
+            assert got.eigenvalues and not got.exact_for_pair
+
+
+def test_ternary_large_tol_merges_eigenvalues():
+    from reference_spectra import ternary_residual_first
+    pair = one_laplacian_pair(WeightedGraph.complete(5))
+    # 1 is met first in the enumeration and 3/4 lies within 0.3 of it
+    got = ternary_eigen_enumerate(pair, 5, tol=0.3)
+    assert got.eigenvalues == [Fraction(0), Fraction(1)]
+    assert _spectrum_fields(got) == _spectrum_fields(ternary_residual_first(pair, 5, tol=0.3))
+
+
+def _random_subgradient_set(rng, n, segments, points):
+    return SubgradientSet(rng.integers(-3, 4, n) * rng.uniform(0.5, 1.5),
+                          rng.normal(size=(segments, n)) if segments else None,
+                          rng.normal(size=(points, n)) if points else None)
+
+
+def test_interval_gap_lower_bounds_polytope_gap():
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        n = int(rng.integers(1, 6))
+        U = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+        V = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+        lam = float(rng.choice([0.0, 0.5, 1.0, -0.75, 2.5]))
+        bound = spectra._interval_gap(U, V, lam)
+        assert 0.0 <= bound <= spectra.polytope_gap(U, V, lam) + 1e-9
+
+
+def test_interval_gap_equals_polytope_gap_on_singletons():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        U, V = SubgradientSet(rng.normal(size=n)), SubgradientSet(rng.normal(size=n))
+        lam = float(rng.normal())
+        want = float(np.max(np.abs(U.center - lam * V.center)))
+        assert spectra._interval_gap(U, V, lam) == spectra.polytope_gap(U, V, lam) == want
+
+
+def test_interval_gap_is_exact_on_one_coordinate_boxes():
+    # U = [1, 3] (center 2, one segment), V = {1}: u - 0.5 v lies in [0.5, 2.5]
+    U = SubgradientSet([2.0], [[1.0]])
+    V = SubgradientSet([1.0])
+    assert spectra._interval_gap(U, V, 0.5) == 0.5
+    assert spectra._interval_gap(U, V, 1.5) == 0.0          # [-0.5, 1.5] holds 0
+    P = SubgradientSet([0.0], points=[[2.0], [4.0]])         # conv{2, 4}
+    assert spectra._interval_gap(P, V, 1.0) == 1.0
+
+
+def test_exact_pair_integer_sums_match_fractions():
+    from reference_spectra import fraction_exact_pair
+    g = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    W = g.W.copy()
+    W[0, 1] = W[1, 0] = 3.0
+    g = WeightedGraph(W)
+    inputs = [(1, -1, 0, 1), (0, 0, 0, 1), (True, False, True, True),
+              (Fraction(1, 3), Fraction(-2, 5), 0, 1), (0.5, -1.25, 0.1, 2.0),
+              np.array([1, -1, 0, 1], dtype=np.int64), np.array([0.5, -0.25, 1.0, 3.0])]
+    for signless in (False, True):
+        pair = one_laplacian_pair(g, signless=signless)
+        refF, refG = fraction_exact_pair(g, signless=signless)
+        for x in inputs:
+            for got, want in ((pair.exact_F(x), refF(x)), (pair.exact_G(x), refG(x))):
+                assert got == want and type(got) is type(want) is Fraction, (x, got, want)

@@ -318,3 +318,22 @@ def test_rand_table_draws_one_entry_per_nonempty_tuple_in_order():
             got = f(*masks)
             assert type(got) is Fraction and got == want, masks
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_intersecting_pair_max_matches_subset_loop():
+    # reference: the loop over every intersecting pair of vertex sets that
+    # the indicator products replaced
+    def loop(A):
+        n = A.shape[0]
+        return max(Fraction(int(sum(A[i, j] for i in mask_members(a)
+                                    for j in mask_members(b))), popcount(a & b))
+                   for a in range(1, 1 << n) for b in range(1, 1 << n) if a & b)
+
+    rng = np.random.default_rng(3)
+    graphs = [WeightedGraph(np.zeros((1, 1))), WeightedGraph.complete(6),
+              WeightedGraph.path(5), WeightedGraph.cycle(7)]
+    graphs += [verify.rand_connected_graph(rng, 2, 7) for _ in range(12)]
+    for g in graphs:
+        A = (g.W != 0).astype(float)
+        got = verify._intersecting_pair_max(A)
+        assert type(got) is Fraction and got == loop(A), g.W
