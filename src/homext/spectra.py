@@ -470,25 +470,21 @@ def eigen_residual(pair: HomogeneousPair, lam: float, x) -> float:
 # subspace projections G_Pi
 # ---------------------------------------------------------------------------
 
-def _same_float(a: float, b: float) -> bool:
-    """a and b are one float bit for bit (+0.0 and -0.0 differ)."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 def g_pi_projection(x, v, weights, p: float) -> tuple[float, float]:
-    """Minimize sum_i w_i |x_i - t v_i|^p over t; returns (value, t*).
+    """Minimize phi(t) = sum_i w_i |x_i - t v_i|^p over t; returns (value, t*).
 
-    Closed form for p = 2 (weighted mean), weighted median for p = 1,
-    ternary search on the convex objective otherwise.  The search starts
-    from the bracket [min, max] of x_i / v_i and takes at most 200 steps,
-    each evaluating both probes in one array call.  A step either keeps
-    the bracket or moves to a nested one, and it is a function of the
-    bracket alone.  So once a step leaves (lo, hi) unchanged bit for bit,
-    every later step does too, and stopping there returns exactly the
-    200-step result.  That fixed point comes when the bracket reaches the
-    float spacing around t*: after 90-156 steps in the Dinkelbach runs of
-    the cheeger-chemical checks, the most when t* is 0, as for a point
-    that is already projected.
+    Closed form for p = 2 (weighted mean), weighted median for p = 1.
+    Otherwise Newton's method on the monotone phi'(t) = -p sum w_i v_i
+    sgn(e_i) |e_i|^(p-1), e_i = x_i - t v_i (sums over v_i != 0), kept in
+    the bracket [min, max] of x_i / v_i.  It starts at t = 0 clipped into
+    the bracket, as most points are already projected, and moves a bracket
+    end to each t by the sign of phi'.  A Newton step that leaves the
+    bracket, exceeds half the step before last or meets an infinite phi''
+    (p < 2, a coordinate at its kink) becomes a bisection; one shorter
+    than tol = 2e-16 max(|lo|, |hi|) is lengthened to tol, so the next
+    evaluation can close the bracket.  The search ends only when phi' = 0,
+    the bracket is within tol, or after 200 evaluations.  For p < 2 the
+    kink x_i / v_i nearest t* is also tried (t* may be within rounding).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -513,20 +509,33 @@ def g_pi_projection(x, v, weights, p: float) -> tuple[float, float]:
         t = float(ratios[order][min(np.searchsorted(cum, half), len(cum) - 1)])
         return phi(t), t
     lo, hi = float(ratios.min()), float(ratios.max())
+    xs, vs, wv = x[nz], v[nz], w[nz] * v[nz]
+    step_tol = 2e-16 * max(abs(lo), abs(hi))
+    t = min(max(0.0, lo), hi)
+    last = older = hi - lo              # the last two steps
     for _ in range(200):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        f1, f2 = np.add.reduce(w * np.abs(x - np.multiply.outer((m1, m2), v)) ** p,
-                               axis=1).tolist()
-        if f1 <= f2:
-            if _same_float(m2, hi):
-                break
-            hi = m2
+        e = xs - t * vs
+        a = np.abs(e)
+        d = -float(np.sum(wv * np.sign(e) * a ** (p - 1)))     # phi'(t) / p
+        if d == 0:
+            break
+        lo, hi = (lo, t) if d > 0 else (t, hi)
+        kink = p < 2 and not a.all()    # phi'' infinite: no Newton step
+        dd = 0.0 if kink else (p - 1) * float(np.sum(wv * vs * a ** (p - 2)))  # phi''/p
+        step = -d / dd if dd > 0 else math.inf
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= step_tol or not lo < mid < hi:
+            t = t + step if lo <= t + step <= hi else mid
+            break
+        step = math.copysign(max(abs(step), step_tol), step)
+        if lo < t + step < hi and 2.0 * abs(step) <= older:
+            t, step = t + step, abs(step)
         else:
-            if _same_float(m1, lo):
-                break
-            lo = m1
-    t = 0.5 * (lo + hi)
+            t, step = mid, 0.5 * (hi - lo)
+        older, last = last, step
+    if p < 2:
+        k = float(ratios[np.argmin(np.abs(ratios - t))])
+        return min((phi(t), t), (phi(k), k))
     return phi(t), t
 
 
@@ -547,16 +556,13 @@ def projection_diag_power(weights, p: float, basis) -> SubspaceProjection:
     """Projection oracle for G(x) = sum w_i |x_i|^p along span(basis rows).
 
     One dimension is one g_pi_projection call: closed forms for p = 1, 2,
-    else the ternary search, which stops at its fixed point, the first
-    step that leaves its bracket unchanged bit for bit.  Every later step
-    would repeat that one, so the result is the 200-step search's, bit
-    for bit.  Higher dimensions run cyclic sweeps of these one-dimensional
-    minimizations (G convex, so this converges).
+    else its safeguarded Newton search, which starts at t = 0 and so
+    stops after one or two evaluations on a point that is already
+    projected.  Higher dimensions run cyclic sweeps of these
+    one-dimensional minimizations (G convex, so this converges).
     """
-    B = np.asarray(basis, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(1, -1)
     w = np.asarray(weights, dtype=float)
+    B = np.asarray(basis, dtype=float).reshape(-1, w.size)
 
     def minimize(x):
         z = np.zeros_like(x)
@@ -568,8 +574,7 @@ def projection_diag_power(weights, p: float, basis) -> SubspaceProjection:
                 changed = max(changed, abs(t))
             if changed < 1e-13:
                 break
-        val = float(np.sum(w * np.abs(x + z) ** p))
-        return val, z
+        return float(np.sum(w * np.abs(x + z) ** p)), z
 
     return SubspaceProjection(B, minimize)
 
@@ -577,9 +582,7 @@ def projection_diag_power(weights, p: float, basis) -> SubspaceProjection:
 def projection_quadratic(Bmat, basis) -> SubspaceProjection:
     """Exact projection for G(x) = x^T B x along span(basis rows)."""
     Bq = np.asarray(Bmat, dtype=float)
-    Z = np.asarray(basis, dtype=float)
-    if Z.ndim == 1:
-        Z = Z.reshape(1, -1)
+    Z = np.asarray(basis, dtype=float).reshape(-1, Bq.shape[0])
     Zt = Z.T
     M = Z @ Bq @ Zt
 
@@ -671,23 +674,24 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
     A candidate is accepted only if the ratio decreases, so the ratio
     sequence is monotone non-increasing; for nonconvex F the result is a
     certified local estimate, never claimed global.
+
+    Each point is projected once: for y = (x + z) / ||x + z||, with (G_Pi(x), z)
+    from the oracle, p-homogeneity gives G_Pi(y) = G_Pi(x) / ||x + z||^p.
     """
     if split is None:
         split = split_from_pair(pair)
+    p = pair.p
 
-    def project_out(x):
-        _, z = proj.minimize(x)
+    def project_out(x):                 # (y, F(y) / G_Pi(y))
+        gv, z = proj.minimize(x)
         y = x + z
-        nrm = np.linalg.norm(y)
-        return y / nrm if nrm > 0 else y
+        nrm = float(np.linalg.norm(y))
+        if nrm == 0:
+            return y, np.inf
+        y, g = y / nrm, gv / nrm ** p
+        return y, (split.F(y) / g if g > 1e-300 else np.inf)
 
-    def ratio(x):
-        gv, _ = proj.minimize(x)
-        fv = split.F(x)
-        return fv / gv if gv > 1e-300 else np.inf
-
-    x = project_out(np.asarray(x0, dtype=float))
-    r = ratio(x)
+    x, r = project_out(np.asarray(x0, dtype=float))
     history = [r]
     quad = pair.tag == "quadratic-form"
     converged = False
@@ -705,16 +709,12 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
             z = _inner_descent(lambda y: split.F1(y) - w @ y,
                                lambda y: split.F1_subgrad(y) - w,
                                x, iters=inner_iters)
-        cand = project_out(z) if np.any(z) else x
-        rc = ratio(cand) if np.any(cand) else np.inf
+        cand, rc = project_out(z) if np.any(z) else (x, r)
         if not np.isfinite(rc) or rc > r - 1e-16:
             improved = False
             if np.any(cand):
                 for t in np.linspace(0.05, 1.0, 20):
-                    y = project_out((1 - t) * x + t * cand)
-                    if not np.any(y):
-                        continue
-                    ry = ratio(y)
+                    y, ry = project_out((1 - t) * x + t * cand)
                     if ry < r - 1e-14:
                         x, r = y, ry
                         improved = True
@@ -902,8 +902,8 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     scored by lambda = F(x)/G(x), exactly when the pair has ``exact_F``,
     and then decided in this order:
 
-    1. lambda within ``tol`` of an eigenvalue already found: skipped before
-       any subgradient is built, as a certified result would be dropped;
+    1. lambda already found (exactly for exact pairs, within ``tol`` for
+       float pairs): skipped before any subgradient is built;
     2. the interval bound ``_interval_gap`` on min ||u - lambda v||_inf
        over dF(x) x dG(x) exceeds ``tol``: rejected.  The bound is a lower
        bound on the true residual, so this rejection is certified;
@@ -934,7 +934,7 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
             lam_exact = None
             lam = pair.ratio(x)
         seen.add(lam_exact if lam_exact is not None else round(lam, 12))
-        if any(abs(float(k) - lam) <= tol for k in found):
+        if lam_exact in found or lam_exact is None and any(abs(k - lam) <= tol for k in found):
             continue
         U, V = pair.F_subgrad(x), pair.G_subgrad(x)
         if _interval_gap(U, V, lam) > tol:

@@ -50,8 +50,9 @@ def jacobi_eigh_with_copies(S):
 
 def ternary_residual_first(pair, n, tol=1e-8):
     """``spectra.ternary_eigen_enumerate`` as it was before the closeness
-    skip and the interval bound: the residual LP on every vector, the
-    closeness to found eigenvalues checked afterwards."""
+    skip and the interval bound: the residual LP on every vector, then an
+    exact eigenvalue kept unless already found, and a float one unless
+    within ``tol`` of one found."""
     found = {}
     seen = set()
     tested = 0
@@ -71,11 +72,11 @@ def ternary_residual_first(pair, n, tol=1e-8):
             lam = pair.ratio(x)
         seen.add(lam_exact if lam_exact is not None else round(lam, 12))
         if spectra.eigen_residual(pair, lam, x) <= tol:
-            key = lam_exact if lam_exact is not None else lam
-            close = [k for k in found if abs(float(k) - lam) <= tol]
-            if close:
-                continue
-            found[key] = digits
+            if lam_exact is not None:
+                if lam_exact not in found:
+                    found[lam_exact] = digits
+            elif not [k for k in found if abs(k - lam) <= tol]:
+                found[lam] = digits
     vals = sorted(found.keys(), key=float)
     return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
                                    pair.tag in spectra.EXACT_TERNARY_TAGS, tested)

@@ -2,6 +2,7 @@
 Dinkelbach against the exact quadratic solver, Collatz-Wielandt, ternary
 enumeration, projections, and the duality reports."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -516,9 +517,10 @@ def _gpi_200_steps(x, v, w, p):
     return phi(t), t
 
 
-def test_gpi_bitwise_equal_to_200_step_search():
+def test_gpi_within_200_step_search_and_scipy():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
     coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     dirs = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
                      st.floats(-4.0, 4.0).map(lambda a: a if abs(a) > 1e-3 else 0.0))
@@ -532,10 +534,60 @@ def test_gpi_bitwise_equal_to_200_step_search():
         w = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
         if projected:                   # the minimizer is then at t = 0
             x = x - _gpi_200_steps(x, v, w, p)[1] * v
-        want, got = _gpi_200_steps(x, v, w, p), g_pi_projection(x, v, w, p)
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (x, v, w, p)
+        val, t = g_pi_projection(x, v, w, p)
+        assert val <= _gpi_200_steps(x, v, w, p)[0] * (1 + 1e-15), (x, v, w, p)
+        nz = v != 0
+        if not np.any(nz):
+            assert t == 0.0
+            return
+        lo, hi = float(np.min(x[nz] / v[nz])), float(np.max(x[nz] / v[nz]))
+        assert lo <= t <= hi
+        if lo < hi:
+            ref = optimize.minimize_scalar(
+                lambda s: float(np.sum(w * np.abs(x - s * v) ** p)), bounds=(lo, hi),
+                method="bounded", options={"xatol": 1e-13})
+            assert val <= ref.fun * (1 + 1e-15), (x, v, w, p)
 
     check()
+
+
+def test_gpi_safeguards_on_hard_cases():
+    # p = 1.5: Newton alone oscillates between the bracket ends for all 200
+    # evaluations; p = 1.01: a coordinate 7.5e-75 from its kink makes the
+    # first Newton step 1e-71 long, while t* is near 0.5
+    cases = [([-9.44437925, 16.2678504, 27.40963588, 9.18078415, 20.1708121,
+               -30.30771147, -32.81829466], [-1.0, 1.0, 0.0, 0.5, 0.0, 2.0, 1.0],
+              [1.21377148, 0.41399399, 1.11976556, 0.92875905, 9.30477864,
+               9.45895742, 2.38664481], 1.5),
+             ([-1.0, 0.0, 0.0, -7.542983347260793e-75], [-1.0, 0.0, 0.0, 1.0],
+              [1.0, 1.0, 1.0, 1.0], 1.01)]
+    for x, v, w, p in cases:
+        x, v, w = np.array(x), np.array(v), np.array(w)
+        val, _ = g_pi_projection(x, v, w, p)
+        assert val <= _gpi_200_steps(x, v, w, p)[0] * (1 + 1e-15), p
+
+
+def test_gpi_no_warning_at_zeros_and_kinks():
+    # zero directions (0 * inf would appear in phi''), points sitting exactly
+    # at a kink for p < 2 (|e|^(p-2) infinite) and n = 1, with every warning
+    # an error
+    cases = [([3.0], [1.0], [2.0]), ([0.0], [1.0], [1.0]), ([3.0], [0.0], [2.0]),
+             ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+             ([1.0, 1.0, 5.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]),
+             ([0.0, 0.0, 4.0, -2.0], [1.0, -1.0, 2.0, 0.0], [1.0, 3.0, 0.5, 1.0]),
+             ([2.0, -1.0, 0.5], [2.0, -1.0, 0.5], [1.0, 1.0, 1.0]),
+             ([-0.5, 0.0, 0.5, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, v, w in cases:
+            x, v, w = np.array(x), np.array(v), np.array(w)
+            for p in (1.01, 1.2, 1.5, 3.0):
+                val, t = g_pi_projection(x, v, w, p)
+                assert type(val) is float and type(t) is float
+                assert np.isfinite(val) and val <= _gpi_200_steps(x, v, w, p)[0] * (1 + 1e-15)
+            proj = projection_diag_power(w, 1.5, v)
+            gv, z = proj.minimize(x)
+            assert np.isfinite(gv) and np.all(np.isfinite(z))
 
 
 def _chemical_F_by_key_tuples(H, p, x):
@@ -591,8 +643,9 @@ def test_chemical_edge_term_memo_keys_on_exact_bits():
 
 
 def test_dinkelbach_chemical_golden_p15():
-    # recorded from the implementation with the 200-step ternary search and
-    # the key-tuple edge terms; every bit of lam, x and history must stay
+    # recorded with the Newton projection and one projection per point; the
+    # values recorded before (200-step ternary search, every point projected
+    # twice) are kept as OLD_*, and the new ones lie close to them
     from homext.setfn import mask_of
     H = ChemicalHypergraph(5, [(mask_of([0]), mask_of([1, 2])),
                                (mask_of([1, 3]), mask_of([4])),
@@ -603,14 +656,33 @@ def test_dinkelbach_chemical_golden_p15():
     proj = projection_diag_power(H.degrees, 1.5, np.ones(5))
     ep = dinkelbach_multistart(pair, proj, 5, seed=1, starts=2, inner_iters=40,
                                max_outer=8, certify=False)
-    assert ep.lam == 0.16807393297119902
-    assert ep.x.tolist() == [-0.5860919637771885, 0.32126973164182543,
-                             -0.6200021015829741, 0.3217958100030847,
-                             0.2555911192192374]
-    assert ep.history == [0.7112670920943291, 0.44898197903150233,
-                          0.29907069259147306, 0.19831821662762739,
-                          0.16807393297119913, 0.16807393297119902]
+    OLD_LAM = 0.16807393297119902
+    OLD_X = [-0.5860919637771885, 0.32126973164182543, -0.6200021015829741,
+             0.3217958100030847, 0.2555911192192374]
+    assert ep.lam == 0.16807393301185872
+    assert ep.x.tolist() == [-0.5860919649293711, 0.32126973279919696,
+                             -0.6200021023579845, 0.32179580514266537,
+                             0.2555911193618127]
+    assert ep.history == [0.7112670920943293, 0.4489819862041192,
+                          0.29907069636531813, 0.19831822059397655,
+                          0.16807393301185872]
     assert ep.converged
+    assert abs(ep.lam - OLD_LAM) <= 1e-9
+    assert np.max(np.abs(ep.x - OLD_X)) <= 1e-8   # moved 4.9e-9
+    assert type(ep.lam) is float and all(type(h) is float for h in ep.history)
+
+
+def test_dinkelbach_values_are_python_floats():
+    g = WeightedGraph.cycle(4)
+    cases = [(quadratic_form_pair(g.laplacian(), np.diag(g.degrees)),
+              projection_quadratic(np.diag(g.degrees), np.ones(4))),
+             (graph_plap_pair(g, 1.5), projection_diag_power(g.degrees, 1.5, np.ones(4))),
+             (graph_plap_pair(g, 3.0), projection_diag_power(g.degrees, 3.0, np.ones(4)))]
+    for pair, proj in cases:
+        for x0 in (np.array([0.3, -1.0, 2.0, 0.1]), np.array([1.0, 0.0, 0.0, 0.0])):
+            ep = dinkelbach_ratiodca(pair, proj, x0, inner_iters=30, certify=False)
+            assert type(ep.lam) is float
+            assert ep.history and all(type(h) is float for h in ep.history)
 
 
 # -- the residual layer against its earlier implementations ------------------
@@ -692,13 +764,31 @@ def test_ternary_composite_path_matches_residual_first_reference():
             assert got.eigenvalues and not got.exact_for_pair
 
 
-def test_ternary_large_tol_merges_eigenvalues():
+def test_ternary_large_tol_keeps_distinct_exact_eigenvalues():
     from reference_spectra import ternary_residual_first
     pair = one_laplacian_pair(WeightedGraph.complete(5))
-    # 1 is met first in the enumeration and 3/4 lies within 0.3 of it
-    got = ternary_eigen_enumerate(pair, 5, tol=0.3)
-    assert got.eigenvalues == [Fraction(0), Fraction(1)]
-    assert _spectrum_fields(got) == _spectrum_fields(ternary_residual_first(pair, 5, tol=0.3))
+    # 1 is met first in the enumeration and 3/4 lies within 0.3 of it; an
+    # exact eigenvalue is merged only with itself, so 3/4 stays
+    for tol in (0.2, 0.3):
+        got = ternary_eigen_enumerate(pair, 5, tol=tol)
+        assert got.eigenvalues == [Fraction(0), Fraction(3, 4), Fraction(1)]
+        assert _spectrum_fields(got) == _spectrum_fields(ternary_residual_first(pair, 5, tol=tol))
+
+
+def test_ternary_spectrum_at_small_tol_within_large_tol():
+    graphs = [WeightedGraph.complete(5), WeightedGraph.cycle(5), WeightedGraph.path(5),
+              WeightedGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])]
+    for g in graphs:
+        for signless in (False, True):
+            pair = one_laplacian_pair(g, signless=signless)
+            small = set(ternary_eigen_enumerate(pair, g.n, tol=1e-8).eigenvalues)
+            for tol in (0.2, 0.3):
+                assert small <= set(ternary_eigen_enumerate(pair, g.n, tol=tol).eigenvalues)
+    signless_k5 = ternary_eigen_enumerate(one_laplacian_pair(WeightedGraph.complete(5),
+                                                             signless=True), 5, tol=0.2)
+    assert signless_k5.eigenvalues == [Fraction(2, 5), Fraction(1, 2), Fraction(3, 5),
+                                       Fraction(5, 8), Fraction(2, 3), Fraction(3, 4),
+                                       Fraction(1)]
 
 
 def _random_subgradient_set(rng, n, segments, points):
