@@ -4,7 +4,8 @@ text or structured (JSON) reports.
 File formats are line-oriented with '#' comments and 1-based vertex ids;
 internally everything is 0-based, converted only at this boundary.
 Exit codes: 0 all verdicts pass, 1 some check failed, 2 cap exceeded,
-3 solver did not converge.
+unreadable input or an unsupported option combination, 3 solver did not
+converge.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import constants as cst
-from . import extend, setfn, spectra, verify
+from . import extend, spectra, verify
 from .setfn import CapExceeded, SetTupleFunction, mask_of
 from .structures import (ChemicalHypergraph, SimplicialComplex,
                          SymmetricTensor, WeightedGraph, adjacency_tensor)
@@ -181,47 +182,6 @@ def parse_input(path: str, kind: str):
     return SetTupleFunction(n, k, vals)
 
 
-def emit(structure, kind: str) -> str:
-    """Inverse of parse_input up to comment stripping."""
-    out = []
-    if kind in ("graph", "signed-graph"):
-        out.append(str(structure.n))
-        for i in range(structure.n):
-            for j in range(i + 1, structure.n):
-                w = structure.W[i, j]
-                if w != 0:
-                    out.append(f"{i + 1} {j + 1} {fmt(float(w))}")
-    elif kind == "chemical-hypergraph":
-        out.append(str(structure.n))
-        for e_in, e_out in structure.edges:
-            ins = " ".join(str(i + 1) for i in setfn.mask_members(e_in))
-            outs = " ".join(str(i + 1) for i in setfn.mask_members(e_out))
-            out.append(f"in: {ins} | out: {outs}")
-    elif kind == "uniform-hypergraph":
-        k, n, hyperedges = structure
-        out.append(str(k))
-        for e in hyperedges:
-            out.append(" ".join(str(v + 1) for v in e))
-    elif kind == "tensor":
-        out.append(f"{structure.order} {structure.dim}")
-        for idx, v in sorted(structure.entries.items()):
-            out.append(" ".join(str(i + 1) for i in idx) + f" {fmt(float(v))}")
-    elif kind == "complex":
-        # maximal simplices: those without a coface
-        maximal = []
-        for d in range(structure.dim, -1, -1):
-            for s in structure.simplices[d]:
-                if not any(set(s) < set(t) for t in maximal):
-                    maximal.append(s)
-        for s in sorted(maximal):
-            out.append(" ".join(str(v + 1) for v in s))
-    elif kind == "setfn-table":
-        raise ValueError("emit for set-function tables is not supported")
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -277,6 +237,10 @@ def cmd_spectrum(args) -> int:
         print(f"eigenvalues: {{{vals}}}  (exact for this pair: {spec.exact_for_pair})")
         return 0
     if args.mode == "dinkelbach":
+        if args.pair == "signless":
+            print("spectrum --mode dinkelbach has no signless pair; use "
+                  "--mode quadratic or --mode ternary", file=sys.stderr)
+            return 2
         p = args.p
         pair = spectra.graph_plap_pair(g, p) if p > 1 else spectra.one_laplacian_pair(g)
         proj = spectra.projection_diag_power(g.degrees, p, np.ones(g.n))

@@ -1,7 +1,7 @@
 """Brute-force combinatorial quantities at desk scale.
 
 Cheeger constants (plain, k-way, dual, chemical, simplicial), maxcut,
-independence and clique numbers, level independence numbers, clique
+independence and clique numbers, Motzkin-Straus and clique-hypergraph
 Lagrangians and nodal-domain counts.  Every reported optimum is exact for
 the enumerated instance and re-evaluates to the reported value.
 """
@@ -231,13 +231,6 @@ def clique_number(g: WeightedGraph) -> tuple[int, int]:
     return independence_number(g.complement())
 
 
-def is_independent(g: WeightedGraph, mask: int) -> bool:
-    for i, j, _ in g.edges():
-        if (mask >> i) & 1 and (mask >> j) & 1:
-            return False
-    return True
-
-
 @dataclass
 class MotzkinStrausReport:
     omega: int
@@ -304,14 +297,6 @@ def motzkin_straus(g: WeightedGraph, seed: int = 42, starts: int = 16) -> Motzki
     return MotzkinStrausReport(omega, wit, 1.0 - 1.0 / omega, val, bx, best_density)
 
 
-def independence_via_ms(g: WeightedGraph, seed: int = 42) -> tuple[int, float]:
-    """alpha via the complement Motzkin-Straus value: alpha = 1/(1 - ms)."""
-    rep = motzkin_straus(g.complement(), seed=seed)
-    alpha = independence_number(g)[0]
-    cont = 1.0 / (1.0 - rep.ascent_value)
-    return alpha, cont
-
-
 @dataclass
 class LagrangianReport:
     k: int
@@ -368,56 +353,6 @@ def clique_hypergraph(g: WeightedGraph, k: int) -> list[tuple[int, ...]]:
         if all(g.W[i, j] != 0 for i, j in combinations(c, 2)):
             out.append(c)
     return out
-
-
-# -- level independence numbers ----------------------------------------------
-
-def lambda_level_independence(kind: str, M, level: float, tol: float = 1e-9,
-                              block_cap: int = 12) -> int:
-    """Largest k with disjoint blocks U_1..U_k such that the ratio of the
-    pair is identically ``level`` on span(1_{U_1}, ..., 1_{U_k}).
-
-    ``kind`` = "quadratic": M = A - level*B; the span condition is that
-    the form of M vanishes on the span, i.e. all block self- and
-    cross-sums of M are zero, so the answer is a maximum clique over
-    valid blocks.  ``kind`` = "tensor": (entries, n) of the level-shifted
-    form with nonnegative cancellation-free entries; blocks reduce to
-    singletons inside the largest entry-free support.
-    """
-    if kind == "quadratic":
-        Mm = np.asarray(M, dtype=float)
-        n = Mm.shape[0]
-        if n > block_cap:
-            raise CapExceeded(f"block search capped at n <= {block_cap}")
-
-        def block_sum(a, b):
-            ia = mask_members(a)
-            ib = mask_members(b)
-            return float(sum(Mm[i, j] for i in ia for j in ib))
-
-        blocks = [u for u in range(1, 1 << n) if abs(block_sum(u, u)) <= tol]
-        best = [0]
-
-        def extend_family(chosen, used, start):
-            best[0] = max(best[0], len(chosen))
-            for idx in range(start, len(blocks)):
-                u = blocks[idx]
-                if u & used:
-                    continue
-                if all(abs(block_sum(u, v)) <= tol for v in chosen):
-                    extend_family(chosen + [u], used | u, idx + 1)
-
-        extend_family([], 0, 0)
-        return best[0]
-    if kind == "tensor":
-        entries, n = M
-        bad = [idx for idx, v in entries.items() if abs(v) > tol]
-        best = 0
-        for u in range(1, 1 << n):
-            if all(any(not (u >> i) & 1 for i in idx) for idx in bad):
-                best = max(best, popcount(u))
-        return best
-    raise ValueError("kind must be 'quadratic' or 'tensor'")
 
 
 # -- chemical hypergraph Cheeger ----------------------------------------------

@@ -250,54 +250,3 @@ def upper_level_tuples(xs: Sequence[Sequence]) -> set[tuple[int, ...]]:
         masks = {full_mask(len(x)), 0} | {m for _, m in _block_terms(x)}
         per_block.append(sorted(masks))
     return set(product(*per_block))
-
-
-def signed_level_tuples(xs: Sequence[Sequence]) -> set[tuple[tuple[int, int], ...]]:
-    """All tuples of signed level-set pairs over thresholds t >= 0."""
-    per_block = []
-    for x in xs:
-        # the first term holds the level sets at t = 0; (0, 0) is t = max |x_j|
-        pairs = {(0, 0)} | {(p, m) for _, p, m in _signed_block_terms(x)}
-        per_block.append(sorted(pairs))
-    return set(product(*per_block))
-
-
-def perfect_pair_membership(xs: Sequence[Sequence], family="chain-comonotone",
-                            custom=None) -> bool:
-    """Membership of xs in the continuous side D of a domain pair.
-
-    ``chain-comonotone``: nonnegative blocks, pairwise comonotone (the D of
-    the inclusion-chain family).  ``diagonal``: all blocks equal and
-    nonnegative.  ``custom``: every multiple upper level set must lie in
-    the given collection, empty-component tuples excepted.
-    """
-    if family == "chain-comonotone":
-        if any(min(x) < 0 for x in xs):
-            return False
-        return comonotone_check(xs)
-    if family == "diagonal":
-        if any(min(x) < 0 for x in xs):
-            return False
-        first = list(xs[0])
-        return all(list(x) == first for x in xs)
-    if family == "custom":
-        if custom is None:
-            raise ValueError("custom family requires the set collection")
-        allowed = set(custom)
-        for tup in upper_level_tuples(xs):
-            if any(m == 0 for m in tup):
-                continue
-            if tup not in allowed:
-                return False
-        return True
-    raise ValueError(f"unknown family {family!r}")
-
-
-def induced_set_family(samples: Sequence[Sequence[Sequence]]) -> set[tuple[int, ...]]:
-    """A(D) for a sampled D: all nonempty multiple upper level sets."""
-    fam = set()
-    for xs in samples:
-        for tup in upper_level_tuples(xs):
-            if all(m != 0 for m in tup):
-                fam.add(tup)
-    return fam

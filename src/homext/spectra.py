@@ -140,12 +140,6 @@ class SubgradientSet:
             g = g + self.points[0]
         return g
 
-    def linear_image(self, M) -> "SubgradientSet":
-        M = np.asarray(M, dtype=float)
-        return SubgradientSet(M @ self.center,
-                              (M @ self.segments.T).T,
-                              (M @ self.points.T).T)
-
 
 @dataclass
 class EigenPair:
@@ -174,26 +168,6 @@ class HomogeneousPair:
 
     def ratio(self, x) -> float:
         return self.F(x) / self.G(x)
-
-    def compose_odd_linear(self, M) -> "HomogeneousPair":
-        """The pair (F o M, G o M) for an invertible linear map M."""
-        M = np.asarray(M, dtype=float)
-        MT = M.T
-        return HomogeneousPair(
-            self.p,
-            lambda x: self.F(M @ x),
-            lambda x: self.G(M @ x),
-            lambda x: self.F_subgrad(M @ x).linear_image(MT),
-            lambda x: self.G_subgrad(M @ x).linear_image(MT),
-            tag="composite",
-        )
-
-
-def euler_identity_gap(pair: HomogeneousPair, x) -> float:
-    """|<g, x> - p F(x)| relative, for one F-subgradient generator."""
-    g = pair.F_subgrad(x).any_point()
-    val = pair.p * pair.F(x)
-    return abs(float(g @ x) - val) / max(1.0, abs(val))
 
 
 def quadratic_form_pair(A, B) -> HomogeneousPair:
@@ -290,16 +264,15 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
                            exact_F=exactF, exact_G=exactG)
 
 
-def graph_plap_pair(graph: WeightedGraph, p: float, signless: bool = False) -> HomogeneousPair:
+def graph_plap_pair(graph: WeightedGraph, p: float) -> HomogeneousPair:
     """Normalized graph p-Laplacian pair: sum w|x_i - x_j|^p over sum deg|x_i|^p."""
     if p <= 1:
         raise ValueError("use one_laplacian_pair for p = 1")
     edges = graph.edges()
     deg = graph.degrees
-    sgn = 1.0 if signless else -1.0
 
     def F(x):
-        return float(sum(w * abs(x[i] + sgn * x[j]) ** p for i, j, w in edges))
+        return float(sum(w * abs(x[i] - x[j]) ** p for i, j, w in edges))
 
     def G(x):
         return float(sum(deg[i] * abs(x[i]) ** p for i in range(graph.n)))
@@ -310,16 +283,16 @@ def graph_plap_pair(graph: WeightedGraph, p: float, signless: bool = False) -> H
     def F_sub(x):
         g = np.zeros(graph.n)
         for i, j, w in edges:
-            t = x[i] + sgn * x[j]
+            t = x[i] - x[j]
             g[i] += p * w * phi(t)
-            g[j] += p * w * phi(t) * sgn
+            g[j] -= p * w * phi(t)
         return SubgradientSet(g)
 
     def G_sub(x):
         return SubgradientSet(p * deg * phi(np.asarray(x, dtype=float)))
 
     return HomogeneousPair(p, F, G, F_sub, G_sub, tag="power-form",
-                           data={"graph": graph, "signless": signless})
+                           data={"graph": graph})
 
 
 def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
@@ -598,29 +571,6 @@ def projection_quadratic(Bmat, basis) -> SubspaceProjection:
 # Dinkelbach / RatioDCA iteration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConvexSplit:
-    """F = F1 - F2 with both parts convex and p-homogeneous (F2 may be 0)."""
-
-    F1: Callable
-    F1_subgrad: Callable
-    F2: Optional[Callable] = None
-    F2_subgrad: Optional[Callable] = None
-
-    def F(self, x):
-        v = self.F1(x)
-        return v - self.F2(x) if self.F2 else v
-
-    def u(self, x):
-        if self.F2_subgrad is None:
-            return np.zeros(len(x))
-        return self.F2_subgrad(x)
-
-
-def split_from_pair(pair: HomogeneousPair) -> ConvexSplit:
-    return ConvexSplit(pair.F, lambda x: pair.F_subgrad(x).any_point())
-
-
 def _inner_quadratic(M, w):
     """argmin over the unit ball of z^T M z - w.z (M symmetric PSD)."""
     n = M.shape[0]
@@ -662,24 +612,21 @@ def _inner_descent(obj, grad, z0, iters=200):
 
 
 def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
-                        split: Optional[ConvexSplit] = None,
-                        rtol: float = 1e-10, max_outer: int = 60,
-                        inner_iters: int = 200,
+                        max_outer: int = 60, inner_iters: int = 200,
                         certify: bool = True) -> EigenPair:
     """Minimize F(x) / G_Pi(x) by the Dinkelbach-type scheme.
 
-    Each step linearizes F2 and G at the current point, solves the inner
-    convex problem on the unit ball (exactly for quadratic forms, by
-    projected subgradient descent otherwise) and re-projects along Pi.
-    A candidate is accepted only if the ratio decreases, so the ratio
-    sequence is monotone non-increasing; for nonconvex F the result is a
-    certified local estimate, never claimed global.
+    Each step linearizes G at the current point, solves the inner convex
+    problem on the unit ball (exactly for quadratic forms, by projected
+    subgradient descent otherwise) and re-projects along Pi.  A candidate
+    is accepted only if the ratio decreases, so the ratio sequence is
+    monotone non-increasing; for nonconvex F the result is a certified
+    local estimate, never claimed global.  A start without a finite ratio
+    (x0 in Pi, so G_Pi(x0) = 0) returns at once, not converged.
 
     Each point is projected once: for y = (x + z) / ||x + z||, with (G_Pi(x), z)
     from the oracle, p-homogeneity gives G_Pi(y) = G_Pi(x) / ||x + z||^p.
     """
-    if split is None:
-        split = split_from_pair(pair)
     p = pair.p
 
     def project_out(x):                 # (y, F(y) / G_Pi(y))
@@ -689,25 +636,26 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
         if nrm == 0:
             return y, np.inf
         y, g = y / nrm, gv / nrm ** p
-        return y, (split.F(y) / g if g > 1e-300 else np.inf)
+        return y, (pair.F(y) / g if g > 1e-300 else np.inf)
 
     x, r = project_out(np.asarray(x0, dtype=float))
     history = [r]
+    if not np.isfinite(r):
+        return EigenPair(lam=r, x=x, history=history, converged=False)
     quad = pair.tag == "quadratic-form"
     converged = False
     for _ in range(max_outer):
-        u = split.u(x)
         v = pair.G_subgrad(x).center.copy()
         for b in proj.basis:            # drop the Pi component: v ~ dG_Pi(x)
             nb = b @ b
             if nb > 0:
                 v -= (v @ b) / nb * b
-        w = u + r * v
+        w = r * v
         if quad:
             z = _inner_quadratic(pair.data["A"], w)
         else:
-            z = _inner_descent(lambda y: split.F1(y) - w @ y,
-                               lambda y: split.F1_subgrad(y) - w,
+            z = _inner_descent(lambda y: pair.F(y) - w @ y,
+                               lambda y: pair.F_subgrad(y).any_point() - w,
                                x, iters=inner_iters)
         cand, rc = project_out(z) if np.any(z) else (x, r)
         if not np.isfinite(rc) or rc > r - 1e-16:
@@ -725,7 +673,7 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
         else:
             x, r = cand, rc
         history.append(r)
-        if len(history) > 1 and abs(history[-2] - r) < rtol * max(1.0, abs(r)):
+        if abs(history[-2] - r) < 1e-10 * max(1.0, abs(r)):
             converged = True
             break
     res = eigen_residual(pair, r, x) if certify else None
@@ -804,12 +752,6 @@ def second_eigen_characterizations(A, B, Pi) -> SecondEigenReport:
     vals = [lam_proj, lam_con, lam_spec]
     return SecondEigenReport(lam_proj, lam_con, lam_spec,
                              float(max(vals) - min(vals)), w)
-
-
-def mountain_pass_second(A, B, x1) -> float:
-    """min over y perp x1 of F(y) / min_t G(y - t x1); equals lambda_2 at p=2."""
-    rep = second_eigen_characterizations(A, B, np.asarray(x1, dtype=float))
-    return rep.projected_form
 
 
 # ---------------------------------------------------------------------------

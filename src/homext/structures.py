@@ -9,7 +9,7 @@ derived from that orientation, so all outputs are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -208,10 +208,6 @@ class SignedGraph:
     def degrees(self) -> np.ndarray:
         return np.abs(self.W).sum(axis=1)
 
-    def switch(self, signs: Sequence[int]) -> "SignedGraph":
-        s = np.asarray(signs, dtype=float)
-        return SignedGraph(self.W * np.outer(s, s))
-
     def balanced_components(self):
         """(count, per-component switching or None) via spanning-tree
         propagation; a component is balanced iff every non-tree edge is
@@ -252,12 +248,6 @@ class SignedGraph:
                 details.append((mask_of(comp), witness))
         return count, details
 
-    def normalized_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(D - W, D) of the signed graph; eigenvalues of the normalized
-        signed Laplacian are the generalized eigenvalues of this pair."""
-        D = np.diag(self.degrees)
-        return np.diag(self.degrees) - self.W, D
-
 
 class ChemicalHypergraph:
     """Hyperedges carry input and output vertex sets (both nonempty)."""
@@ -273,11 +263,6 @@ class ChemicalHypergraph:
             if (e_in | e_out) >> n:
                 raise ValueError("edge vertex out of range")
             self.edges.append((e_in, e_out))
-
-    @classmethod
-    def from_graph(cls, g: WeightedGraph) -> "ChemicalHypergraph":
-        edges = [(mask_of([i, j]), mask_of([i, j])) for i, j, _ in g.edges()]
-        return cls(g.n, edges)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -372,28 +357,6 @@ class SymmetricTensor:
                     prod *= x[j]
                 out[i] += v * mult * prod
         return out
-
-    def full_form(self, x: np.ndarray) -> float:
-        """Sum over all n^k index tuples of the entry times the monomial."""
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for idx, v in self.entries.items():
-            prod = 1.0
-            for j in idx:
-                prod *= x[j]
-            total += v * self._perm_count(idx) * prod
-        return total
-
-    def as_set_function(self) -> SetTupleFunction:
-        """f(V_1, ..., V_k) = sum of entries with i_l in V_l."""
-        def f(*masks):
-            total = Fraction(0)
-            for idx, v in self.entries.items():
-                for arrangement in set(permutations(idx)):
-                    if all((masks[l] >> arrangement[l]) & 1 for l in range(self.order)):
-                        total += Fraction(v) if v == int(v) else v
-            return total
-        return SetTupleFunction(self.dim, self.order, f)
 
 
 def adjacency_tensor(n: int, hyperedges: Sequence[Sequence[int]], k: Optional[int] = None) -> SymmetricTensor:
@@ -519,7 +482,3 @@ class SimplicialComplex:
                 assert W[a, b] == 0, "two simplices share two cofaces"
                 W[a, b] = W[b, a] = sa * sb
         return SignedGraph(W)
-
-    def signed_up_graph(self, d: int) -> SignedGraph:
-        """The opposite sign convention (negated anti-signed graph)."""
-        return SignedGraph(-self.anti_signed_graph(d).W)

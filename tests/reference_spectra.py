@@ -1,6 +1,7 @@
 """Test-side references for the spectral layer: the Jacobi loop that copied
 its rows and columns, the ternary enumeration that ran the residual LP on
-every vector, and the one-Laplacian's exact F and G in Fraction arithmetic."""
+every vector, the one-Laplacian's exact F and G in Fraction arithmetic,
+and a pair composed with a linear map."""
 
 from fractions import Fraction
 from itertools import product
@@ -99,3 +100,19 @@ def fraction_exact_pair(graph, signless=False):
                    for i in range(graph.n))
 
     return exactF, exactG
+
+
+def compose_odd_linear(pair, M):
+    """The pair (F o M, G o M) for an invertible linear map M; each
+    subgradient set is mapped by M^T."""
+    M = np.asarray(M, dtype=float)
+    MT = M.T
+
+    def image(S):
+        return spectra.SubgradientSet(MT @ S.center, (MT @ S.segments.T).T,
+                                      (MT @ S.points.T).T)
+
+    return spectra.HomogeneousPair(
+        pair.p, lambda x: pair.F(M @ x), lambda x: pair.G(M @ x),
+        lambda x: image(pair.F_subgrad(M @ x)),
+        lambda x: image(pair.G_subgrad(M @ x)), tag="composite")

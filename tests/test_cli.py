@@ -6,14 +6,51 @@ import numpy as np
 import pytest
 
 from homext import cli
-from homext.cli import ParseError, emit, fmt, main, parse_input
+from homext.cli import ParseError, fmt, main, parse_input
+from homext.setfn import mask_members
 from homext.structures import SimplicialComplex, WeightedGraph
+
+from reference_structures import full_form
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def emit(structure, kind: str) -> str:
+    """File text that parse_input reads back as the same structure."""
+    out = []
+    if kind == "graph":
+        out.append(str(structure.n))
+        for i in range(structure.n):
+            for j in range(i + 1, structure.n):
+                w = structure.W[i, j]
+                if w != 0:
+                    out.append(f"{i + 1} {j + 1} {fmt(float(w))}")
+    elif kind == "chemical-hypergraph":
+        out.append(str(structure.n))
+        for e_in, e_out in structure.edges:
+            ins = " ".join(str(i + 1) for i in mask_members(e_in))
+            outs = " ".join(str(i + 1) for i in mask_members(e_out))
+            out.append(f"in: {ins} | out: {outs}")
+    elif kind == "tensor":
+        out.append(f"{structure.order} {structure.dim}")
+        for idx, v in sorted(structure.entries.items()):
+            out.append(" ".join(str(i + 1) for i in idx) + f" {fmt(float(v))}")
+    elif kind == "complex":
+        # maximal simplices: those without a coface
+        maximal = []
+        for d in range(structure.dim, -1, -1):
+            for s in structure.simplices[d]:
+                if not any(set(s) < set(t) for t in maximal):
+                    maximal.append(s)
+        for s in sorted(maximal):
+            out.append(" ".join(str(v + 1) for v in s))
+    else:
+        raise ValueError(f"unknown kind {kind}")
+    return "\n".join(out) + "\n"
 
 
 def test_parse_graph_p3(tmp_path):
@@ -39,7 +76,7 @@ def test_parse_tensor_symmetrization(tmp_path):
     T = parse_input(path, "tensor")
     assert T[(2, 1, 0)] == 1.0
     # 6 implicit entries via permutations
-    assert T.full_form(np.ones(3)) == 6.0
+    assert full_form(T, np.ones(3)) == 6.0
 
 
 def test_parse_chemical(tmp_path):
@@ -222,3 +259,12 @@ def test_cmd_spectrum_tensor_cw(tmp_path, capsys):
     rc = main(["spectrum", "--mode", "tensor-cw", "--input", path])
     out = capsys.readouterr().out
     assert rc == 0 and "lambda_max = 2" in out
+
+
+def test_cmd_spectrum_dinkelbach_rejects_signless(tmp_path, capsys):
+    path = write(tmp_path, "c4.graph", "4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+    rc = main(["spectrum", "--mode", "dinkelbach", "--pair", "signless",
+               "--input", path, "--p", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "signless" in captured.err

@@ -10,9 +10,8 @@ import pytest
 from homext.extend import (MULTILINEAR_PROBE_CAP, _block_terms,
                            _signed_block_terms, absolutely_comonotone_check,
                            comonotone_check, diagonal, disjoint_pair_lovasz,
-                           induced_set_family, lovasz, multilinear,
-                           multiple_integral, perfect_pair_membership,
-                           signed_level_tuples, upper_level_tuples)
+                           lovasz, multilinear, multiple_integral,
+                           upper_level_tuples)
 from homext.setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
                           enumerate_chains, full_mask, mask_of, popcount,
                           submasks)
@@ -35,6 +34,16 @@ def rand_table(rng, n, k, zero_on_empty=True):
 
 def indicator(mask, n):
     return [Fraction(1) if (mask >> i) & 1 else Fraction(0) for i in range(n)]
+
+
+def signed_level_sets(x):
+    """The signed level-set pairs of one block over thresholds t >= 0: the
+    first term of _signed_block_terms is t = 0, and (0, 0) is t = max |x_j|."""
+    return {(0, 0)} | {(p, m) for _, p, m in _signed_block_terms(x)}
+
+
+def nonempty_level_tuples(xs):
+    return {t for t in upper_level_tuples(xs) if all(t)}
 
 
 # -- Lovasz extension --------------------------------------------------------
@@ -328,7 +337,7 @@ def test_level_kernel_matches_threshold_definitions():
                             mask_of(j for j in range(n) if -x[j] > t))
                            for t in {0} | {abs(v) for v in x}})
         assert upper_level_tuples(xs) == set(product(*upper)), xs
-        assert signed_level_tuples(xs) == set(product(*signed)), xs
+        assert [signed_level_sets(x) for x in xs] == signed, xs
         f = DisjointPairFunction(n, k, lambda *prs: sum(3 * p - 5 * m for p, m in prs) % 7 - 3)
         want = 0
         for combo in product(*[abs_block_terms(x) for x in xs]):
@@ -374,10 +383,7 @@ def test_absolutely_comonotone_matches_signed_chain_property():
         x = [int(rng.choice(vals)) for _ in range(3)]
         y = [int(rng.choice(vals)) for _ in range(3)]
         got = absolutely_comonotone_check([x, y])
-        tups = signed_level_tuples([x, y])
-        flat = set()
-        for t in tups:
-            flat.update(t)
+        flat = signed_level_sets(x) | signed_level_sets(y)
         chain = True
         for (p1, m1) in flat:
             for (p2, m2) in flat:
@@ -391,8 +397,8 @@ def test_absolutely_comonotone_matches_signed_chain_property():
 def test_perfect_pair_chain_family():
     x = [2, 1, 0]
     y = [4, 1, 0]
-    assert perfect_pair_membership([x, y], "chain-comonotone")
-    assert not perfect_pair_membership([[1, 2, 0], [0, 1, 2]], "chain-comonotone")
+    assert nonempty_level_tuples([x, y]) <= nonempty_chains(3, 2)
+    assert not nonempty_level_tuples([[1, 2, 0], [0, 1, 2]]) <= nonempty_chains(3, 2)
 
 
 def test_perfect_pair_full_family_any_positive():
@@ -401,7 +407,7 @@ def test_perfect_pair_full_family_any_positive():
     rng = np.random.default_rng(13)
     for _ in range(10):
         xs = [list(rng.uniform(0.1, 1, n)) for _ in range(2)]
-        assert perfect_pair_membership(xs, "custom", custom=fam)
+        assert nonempty_level_tuples(xs) <= fam
 
 
 def nonempty_chains(n, k):
@@ -409,12 +415,12 @@ def nonempty_chains(n, k):
 
 
 def test_perfect_pair_chain_vs_custom_consistency():
+    # nonnegative blocks are comonotone iff their level sets form chains
     fam = nonempty_chains(3, 2)
     rng = np.random.default_rng(14)
     for _ in range(50):
         xs = [list(rng.integers(0, 4, 3)) for _ in range(2)]
-        assert (perfect_pair_membership(xs, "chain-comonotone")
-                == perfect_pair_membership(xs, "custom", custom=fam))
+        assert comonotone_check(xs) == (nonempty_level_tuples(xs) <= fam)
 
 
 def test_induced_family_idempotent_on_chain_samples():
@@ -426,9 +432,10 @@ def test_induced_family_idempotent_on_chain_samples():
         x = [base[perm[i]] for i in range(3)]
         t = rng.uniform(0.5, 2.0)
         samples.append([x, [t * v for v in x]])
-    fam = induced_set_family(samples)
+    fam = set().union(*map(nonempty_level_tuples, samples))
     assert fam <= nonempty_chains(3, 2)
-    again = induced_set_family([s for s in samples if perfect_pair_membership(s, "custom", custom=fam)])
+    again = set().union(*(nonempty_level_tuples(s) for s in samples
+                          if nonempty_level_tuples(s) <= fam))
     assert again == fam
 
 

@@ -14,9 +14,8 @@ from homext.spectra import (CWReport, HomogeneousPair, SubgradientSet,
                             diagonal_tensor, dinkelbach_multistart,
                             dinkelbach_ratiodca, dual_inner_problem_check,
                             duality_spectrum_check, eigen_residual,
-                            euler_identity_gap, g_pi_projection,
-                            graph_plap_pair, incidence_vertex_edge_spectra,
-                            jacobi_eigh, mountain_pass_second,
+                            g_pi_projection, graph_plap_pair,
+                            incidence_vertex_edge_spectra, jacobi_eigh,
                             one_laplacian_pair, projection_diag_power,
                             projection_quadratic, quadratic_form_pair,
                             quadratic_pair_spectrum,
@@ -24,6 +23,8 @@ from homext.spectra import (CWReport, HomogeneousPair, SubgradientSet,
                             ternary_eigen_enumerate)
 from homext.structures import (ChemicalHypergraph, WeightedGraph,
                                adjacency_tensor)
+
+from reference_spectra import compose_odd_linear
 
 
 # -- Jacobi eigensolver -------------------------------------------------------
@@ -110,7 +111,10 @@ def test_euler_identity():
     for pair in pairs:
         for _ in range(10):
             x = rng.normal(size=5)
-            assert euler_identity_gap(pair, x) <= 1e-9
+            # <g, x> = p F(x) for an F-subgradient g
+            val = pair.p * pair.F(x)
+            g = pair.F_subgrad(x).any_point()
+            assert abs(float(g @ x) - val) <= 1e-9 * max(1.0, abs(val))
 
 
 def test_eigenvalue_ratio_law():
@@ -211,6 +215,18 @@ def test_dinkelbach_monotone_and_fixpoint():
     assert all(a >= b - 1e-12 for a, b in zip(ep.history, ep.history[1:]))
 
 
+def test_dinkelbach_start_inside_pi_returns_at_once():
+    # the constant vector projects to 0: no finite ratio, so no iteration
+    g = WeightedGraph.cycle(4)
+    pair = graph_plap_pair(g, 1.5)
+    proj = projection_diag_power(g.degrees, 1.5, np.ones(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ep = dinkelbach_ratiodca(pair, proj, np.ones(4))
+    assert ep.lam == np.inf and not ep.converged
+    assert ep.history == [np.inf] and ep.residual is None
+
+
 def test_dinkelbach_chemical_p_sandwich():
     from homext import constants as cst
     from homext.setfn import mask_of
@@ -254,7 +270,7 @@ def test_odd_composition_residual_transport():
     g = WeightedGraph.path(3)
     pair = one_laplacian_pair(g)
     M = np.diag([1.0, -1.0, 1.0])
-    comp = pair.compose_odd_linear(M)
+    comp = compose_odd_linear(pair, M)
     spec = ternary_eigen_enumerate(pair, 3)
     for lam, wit in spec.witnesses.items():
         y = M @ np.array(wit, dtype=float)    # M^{-1} = M here
@@ -375,7 +391,8 @@ def test_mountain_pass_form():
     g = WeightedGraph.path(4)
     L, D = g.laplacian(), np.diag(g.degrees)
     w, V = quadratic_pair_spectrum(L, D)
-    val = mountain_pass_second(L, D, V[:, 0])
+    # min over y perp x1 of F(y) / min_t G(y - t x1) equals lambda_2 at p = 2
+    val = second_eigen_characterizations(L, D, V[:, 0]).projected_form
     assert abs(val - w[1]) <= 1e-9
 
 
@@ -755,7 +772,7 @@ def test_ternary_composite_path_matches_residual_first_reference():
             np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                       [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])]
     for M in maps:
-        comp = one_laplacian_pair(WeightedGraph.path(4)).compose_odd_linear(M)
+        comp = compose_odd_linear(one_laplacian_pair(WeightedGraph.path(4)), M)
         assert comp.exact_F is None
         for tol in (1e-8, 0.2):
             got = ternary_eigen_enumerate(comp, 4, tol=tol)

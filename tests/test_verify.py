@@ -275,6 +275,40 @@ def test_check_indicator_and_equalities_families():
         assert rep.verdict == "pass", (fam, rep.to_dict())
 
 
+def test_turan_fails_on_a_wrong_value_at_the_diagonal_witness(monkeypatch):
+    # instance 0 at seed 42: diagonal witness (12, 12), chain witness
+    # (11, 15); only identical 0/1 blocks read a wrong value
+    from homext import extend
+    true = extend.multilinear
+
+    def wrong(f, xs):
+        blocks = [list(x) for x in xs]
+        if all(b == blocks[0] for b in blocks) and set(blocks[0]) <= {0, 1}:
+            return true(f, xs) + 1
+        return true(f, xs)
+
+    assert all(r.verdict == "pass" for r in verify.suite_turan(seed=42, instances=1))
+    monkeypatch.setattr(extend, "multilinear", wrong)
+    reps = verify.suite_turan(seed=42, instances=1)
+    assert [(r.check_id, r.verdict) for r in reps] == [
+        ("turan-diagonal-0", "fail"), ("turan-chain-0", "pass")]
+
+
+def test_perfect_pair_check_fails_on_a_level_set_outside_the_family(monkeypatch):
+    from homext import extend
+    rng = np.random.default_rng(4)
+    f = verify.rand_table(rng, 3, 2, lo=0, hi=9)
+    g = verify.rand_table(rng, 3, 2, lo=1, hi=9)
+    true = extend.upper_level_tuples
+    monkeypatch.setattr(extend, "upper_level_tuples",
+                        lambda xs: true(xs) | {(1, 2)})   # {0} and {1}: no chain
+    for fam, outside in (("full", 0), ("chain", 20), ("diagonal", 20)):
+        rep = verify.check_indicator_and_equalities(f, g, family=fam,
+                                                    samples=20, seed=4)
+        assert rep.extra["outside_family"] == outside, fam
+        assert rep.verdict == ("pass" if outside == 0 else "fail"), fam
+
+
 def test_quasiconcave_equal_arguments_quarter():
     f1 = verify.rand_table(np.random.default_rng(5), 3, 1, lo=1, hi=9)
     rep = verify.check_quasiconcave_composition([f1, f1], kind="product",
