@@ -3,9 +3,11 @@ text or structured (JSON) reports.
 
 File formats are line-oriented with '#' comments and 1-based vertex ids;
 internally everything is 0-based, converted only at this boundary.
+Each command takes only the options it reads.
 Exit codes: 0 all verdicts pass, 1 some check failed, 2 cap exceeded,
-unreadable input or an unsupported option combination, 3 solver did not
-converge.
+unreadable input, an unsupported option combination, or an option or
+value the command does not take (argparse's usage error), 3 solver did
+not converge.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def parse_input(path: str, kind: str):
 # commands
 # ---------------------------------------------------------------------------
 
-def _print_reports(reports, args) -> int:
-    if args.format == "structured":
+def _print_reports(reports, form) -> int:
+    if form == "structured":
         print(json.dumps([r.to_dict(include_runtime=False) for r in reports],
                          indent=2, sort_keys=True))
     else:
@@ -214,7 +216,9 @@ def cmd_extend_eval(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.mode == "tensor-cw":
-        if args.input.endswith(".tensor") or args.kind == "tensor":
+        # a tensor file's header is 'k n', a uniform hypergraph's is 'k'
+        lines = list(_content_lines(args.input))
+        if lines and len(lines[0][1].split()) == 2:
             T = parse_input(args.input, "tensor")
         else:
             k, n, he = parse_input(args.input, "uniform-hypergraph")
@@ -262,10 +266,11 @@ def cmd_cheeger(args) -> int:
         rep = cst.simplicial_cheeger(K, args.d, args.k)
     else:
         g = parse_input(args.input, "graph")
+        k = max(args.k, 2) if args.variant == "kway" else args.k
         if args.variant == "dual":
-            rep = cst.dual_cheeger_k(g, args.k)
-        elif args.k > 1:
-            rep = cst.k_way_cheeger(g, args.k)
+            rep = cst.dual_cheeger_k(g, k)
+        elif k > 1:
+            rep = cst.k_way_cheeger(g, k)
         else:
             rep = cst.cheeger(g)
     print(f"{rep.variant}: {fmt(rep.value)}  (enumerated {rep.enumerated}, "
@@ -321,7 +326,7 @@ def cmd_verify(args) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 2
-    return _print_reports(reports, args)
+    return _print_reports(reports, args.format)
 
 
 def cmd_report(args) -> int:
@@ -334,65 +339,61 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--p", type=float, default=2.0)
-    common.add_argument("--k", type=int, default=1)
-    common.add_argument("--iters", type=int, default=60)
-    common.add_argument("--format", choices=("text", "structured"),
-                        default="text")
     ap = argparse.ArgumentParser(
         prog="homext",
         description="extensions of set functions, spectra of function "
                     "pairs, and the theorem-check suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    s = add("extend-eval", help="evaluate an extension at a point")
+    s = sub.add_parser("extend-eval", help="evaluate an extension at a point")
     s.add_argument("--input", required=True)
     s.add_argument("--x", required=True,
                    help="coordinates, blocks joined by ';', entries by ','")
     s.add_argument("--diagonal", action="store_true")
     s.set_defaults(fn=cmd_extend_eval)
 
-    s = add("spectrum", help="eigenvalues of a function pair")
+    s = sub.add_parser("spectrum", help="eigenvalues of a function pair")
     s.add_argument("--input", required=True)
     s.add_argument("--mode", choices=("quadratic", "dinkelbach", "ternary",
                                       "tensor-cw"), default="quadratic")
-    s.add_argument("--pair", choices=("onelap", "signless", "plap"),
-                   default="onelap")
-    s.add_argument("--kind", default=None)
+    s.add_argument("--pair", choices=("onelap", "signless"), default="onelap")
+    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--p", type=float, default=2.0)
+    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--iters", type=int, default=60)
     s.set_defaults(fn=cmd_spectrum)
 
-    s = add("cheeger", help="Cheeger constants by enumeration")
+    s = sub.add_parser("cheeger", help="Cheeger constants by enumeration")
     s.add_argument("--input", required=True)
     s.add_argument("--variant", choices=("plain", "kway", "dual", "chemical",
                                          "simplicial"), default="plain")
     s.add_argument("--d", type=int, default=0)
+    s.add_argument("--k", type=int, default=1,
+                   help="number of sets; kway takes at least 2")
     s.set_defaults(fn=cmd_cheeger)
 
-    s = add("maxcut", help="exact maxcut and its continuous form")
+    s = sub.add_parser("maxcut", help="exact maxcut and its continuous form")
     s.add_argument("--input", required=True)
+    s.add_argument("--seed", type=int, default=42)
     s.set_defaults(fn=cmd_maxcut)
 
-    s = add("lagrangian", help="uniform-hypergraph Lagrangian")
+    s = sub.add_parser("lagrangian", help="uniform-hypergraph Lagrangian")
     s.add_argument("--input", required=True)
     s.set_defaults(fn=cmd_lagrangian)
 
-    s = add("complex-spec", help="spectra of a simplicial complex")
+    s = sub.add_parser("complex-spec", help="spectra of a simplicial complex")
     s.add_argument("--input", required=True)
     s.add_argument("--d", type=int, default=1)
     s.set_defaults(fn=cmd_complex_spec)
 
-    s = add("verify", help="run a theorem-check suite")
+    s = sub.add_parser("verify", help="run a theorem-check suite")
     s.add_argument("--suite", default="all",
                    help="suite name or 'all'; see homext.verify.SUITES")
+    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--format", choices=("text", "structured"), default="text")
     s.set_defaults(fn=cmd_verify)
 
-    s = add("report", help="pretty-print a structured report")
+    s = sub.add_parser("report", help="pretty-print a structured report")
     s.add_argument("--input", required=True)
     s.set_defaults(fn=cmd_report)
     return ap
@@ -400,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # adjust k default per command
-    if args.command == "cheeger" and args.variant == "kway" and args.k < 2:
-        args.k = 2
     try:
         return args.fn(args)
     except CapExceeded as e:

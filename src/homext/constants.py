@@ -24,6 +24,9 @@ CHEEGER_CAP = 20
 KWAY_CAP = 12
 MAXCUT_CAP = 24
 SIMPLICIAL_CAP = 14
+QUOTIENT_CAP = 200000
+MAXCUT_SAMPLES = 200
+ASCENT_STARTS = 16
 
 
 @dataclass
@@ -86,7 +89,7 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
     return CheegerReport(best, arg, count, "cheeger")
 
 
-def _disjoint_tuples(n: int, k: int, start_mask=0, min_first=0):
+def _disjoint_tuples(n: int, k: int):
     """Canonically ordered families of k disjoint nonempty subsets (each
     family once, blocks sorted by smallest element)."""
     total = full_mask(n)
@@ -102,7 +105,7 @@ def _disjoint_tuples(n: int, k: int, start_mask=0, min_first=0):
                 block = sub | (1 << anchor)
                 for tail in rec(used | block, k_left - 1, anchor + 1):
                     yield (block,) + tail
-    yield from rec(start_mask, k, min_first)
+    yield from rec(0, k, 0)
 
 
 def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
@@ -173,10 +176,11 @@ class MaxcutReport:
     indicator_value: float
 
 
-def maxcut(g: WeightedGraph, samples: int = 200, seed: int = 42) -> MaxcutReport:
+def maxcut(g: WeightedGraph, seed: int = 42) -> MaxcutReport:
     """Exact maxcut over bipartitions, plus the continuous form
     max over x, y >= 0 with x.y = 0 of sum w_ij x_i y_j / (||x||inf ||y||inf):
-    sampled values never exceed the cut and the indicator pair attains it."""
+    ``MAXCUT_SAMPLES`` sampled values never exceed the cut and the
+    indicator pair attains it."""
     if g.n > MAXCUT_CAP:
         raise CapExceeded(f"maxcut capped at n <= {MAXCUT_CAP}")
     best, arg = -1.0, 0
@@ -187,7 +191,7 @@ def maxcut(g: WeightedGraph, samples: int = 200, seed: int = 42) -> MaxcutReport
     rng = np.random.default_rng(seed)
     ok = True
     comp = full_mask(g.n) & ~arg
-    for _ in range(samples):
+    for _ in range(MAXCUT_SAMPLES):
         support = rng.integers(0, 2, size=g.n).astype(bool)
         x = np.where(support, rng.uniform(0.1, 1.0, g.n), 0.0)
         y = np.where(~support, rng.uniform(0.1, 1.0, g.n), 0.0)
@@ -241,14 +245,14 @@ class MotzkinStrausReport:
     max_subset_density: Fraction   # max over A of ordered-pair density
 
 
-def _replicator_ascent(grad_fn, value_fn, n, starts, seed, iters=400):
-    """Multiplicative (Baum-Eagon) updates on the simplex; monotone for
-    polynomials with nonnegative coefficients."""
+def _replicator_ascent(grad_fn, value_fn, starts):
+    """Multiplicative (Baum-Eagon) updates on the simplex, at most 400 per
+    start; monotone for polynomials with nonnegative coefficients."""
     best, bx = -np.inf, None
-    for c, x0 in enumerate(starts):
+    for x0 in starts:
         x = np.asarray(x0, dtype=float)
         x = x / x.sum()
-        for _ in range(iters):
+        for _ in range(400):
             g = grad_fn(x)
             tot = float(x @ g)
             if tot <= 0:
@@ -268,12 +272,13 @@ def _replicator_ascent(grad_fn, value_fn, n, starts, seed, iters=400):
     return best, bx
 
 
-def motzkin_straus(g: WeightedGraph, seed: int = 42, starts: int = 16) -> MotzkinStrausReport:
+def motzkin_straus(g: WeightedGraph, seed: int = 42) -> MotzkinStrausReport:
     """max 2 sum_{ij in E} x_i x_j on the simplex vs 1 - 1/omega.
 
     The ascent start list always contains the uniform point and the
     uniform-on-maximum-clique point, so the best ascent value is pinched
-    between the clique value and the global optimum 1 - 1/omega.
+    between the clique value and the global optimum 1 - 1/omega; then
+    ``ASCENT_STARTS`` seeded random points.
     """
     omega, wit = clique_number(g)
     A = (g.W != 0).astype(float)
@@ -282,10 +287,10 @@ def motzkin_straus(g: WeightedGraph, seed: int = 42, starts: int = 16) -> Motzki
     xw = np.array([(wit >> i) & 1 for i in range(g.n)], dtype=float)
     if xw.sum() > 0:
         start_list.append(xw)
-    for _ in range(starts):
+    for _ in range(ASCENT_STARTS):
         start_list.append(rng.uniform(0.05, 1.0, g.n))
     val, bx = _replicator_ascent(lambda x: A @ x, lambda x: float(x @ A @ x),
-                                 g.n, start_list, seed)
+                                 start_list)
     best_density = Fraction(0)
     for a in range(1, 1 << g.n):
         e2 = 0
@@ -307,11 +312,13 @@ class LagrangianReport:
 
 
 def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
-                          seed: int = 42, starts: int = 16,
+                          seed: int = 42,
                           clique_hypergraph: bool = False) -> LagrangianReport:
     """Lagrangian sup of sum_{e} prod_{i in e} x_i over the simplex against
     the best subset density; equality is a theorem when the hyperedges are
-    all k-cliques of a graph, in general ascent >= subset density."""
+    all k-cliques of a graph, in general ascent >= subset density.  The
+    ascent starts at the uniform point, the densest subset's indicator and
+    ``ASCENT_STARTS`` seeded random points."""
     if n > 16:
         raise CapExceeded("lagrangian enumeration capped at n <= 16")
     k = len(hyperedges[0]) if hyperedges else 2
@@ -340,9 +347,9 @@ def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
     rng = np.random.default_rng(seed)
     start_list = [np.ones(n),
                   np.array([(wit >> i) & 1 for i in range(n)], dtype=float)]
-    for _ in range(starts):
+    for _ in range(ASCENT_STARTS):
         start_list.append(rng.uniform(0.05, 1.0, n))
-    val, _ = _replicator_ascent(grad, value, n, start_list, seed)
+    val, _ = _replicator_ascent(grad, value, start_list)
     return LagrangianReport(k, best, wit, val, clique_hypergraph)
 
 
@@ -485,8 +492,7 @@ class SimplicialHReport:
     witness: Optional[tuple]
 
 
-def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2),
-                 cap: int = 200000) -> SimplicialHReport:
+def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2)) -> SimplicialHReport:
     """Upper-bound family for the 1-Laplacian Cheeger constant on S_d:
     minimum over integer multisets with multiplicities in [-N, N] of
     ||B_{d+1}^T x||_1 over the deg-weighted quotient l1 norm.
@@ -497,29 +503,29 @@ def simplicial_h(K: SimplicialComplex, d: int, n_list=(1, 2),
     nd = K.count(d)
     img = K.boundary_matrix(d).T if d >= 1 else np.zeros((nd, 0))
     return _quotient_enumeration(K.boundary_matrix(d + 1).T,    # S_{d+1} x S_d
-                                 K.up_degrees(d), img, n_list, cap)
+                                 K.up_degrees(d), img, n_list)
 
 
-def down_cheeger(K: SimplicialComplex, d: int, n_list=(1, 2),
-                 cap: int = 200000) -> SimplicialHReport:
+def down_cheeger(K: SimplicialComplex, d: int, n_list=(1, 2)) -> SimplicialHReport:
     """Analogous enumeration on B_d: min ||B_d x||_1 over the quotient norm
     modulo the image of B_{d+1}."""
     nd = K.count(d)
     deg = np.full(nd, float(d + 1))    # each d-simplex has d+1 facets
     img = K.boundary_matrix(d + 1) if d + 1 <= K.dim else np.zeros((nd, 0))
-    return _quotient_enumeration(K.boundary_matrix(d), deg, img, n_list, cap)
+    return _quotient_enumeration(K.boundary_matrix(d), deg, img, n_list)
 
 
-def _quotient_enumeration(M, deg, img, n_list, cap) -> SimplicialHReport:
+def _quotient_enumeration(M, deg, img, n_list) -> SimplicialHReport:
     """min over integer x != 0 with entries in [-N, N], first nonzero entry
     positive, of ||M x||_1 over the deg-weighted l1 norm of x modulo the
-    column span of img, per N in n_list."""
+    column span of img, per N in n_list; an N-box of more than
+    ``QUOTIENT_CAP`` vectors raises ``CapExceeded``."""
     nd = len(deg)
     per_n = {}
     wit = None
     best_all = np.inf
     for N in n_list:
-        if (2 * N + 1) ** nd > cap:
+        if (2 * N + 1) ** nd > QUOTIENT_CAP:
             raise CapExceeded("multiset enumeration over the N-box too large")
         best = np.inf
         for digits in product(range(-N, N + 1), repeat=nd):

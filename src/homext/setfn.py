@@ -2,8 +2,8 @@
 
 A subset A of V = {0, ..., n-1} is stored as an integer mask (bit i set
 iff i in A).  Functions f: P(V)^k -> R are held either as one dense table
-indexed by the concatenation of the k masks (k*n <= 24 bits) or as a
-callback.  Values may be exact (int / Fraction) or float; constructors
+indexed by the concatenation of the k masks (k*n <= 24 bits), when given
+as a list or dict of values, or as a callback, when given as a callable.  Values may be exact (int / Fraction) or float; constructors
 from integer combinatorial data should use exact values so that the
 extension operators in :mod:`homext.extend` stay exact.
 """
@@ -66,37 +66,29 @@ class SetTupleFunction:
     such entries only ever meet zero weight).
     """
 
-    def __init__(self, n: int, k: int, values: Callable[..., object] | Sequence | dict,
-                 dense: Optional[bool] = None):
+    def __init__(self, n: int, k: int, values: Callable[..., object] | Sequence | dict):
         if n < 1 or k < 1:
             raise ValueError("need n >= 1 and k >= 1")
         self.n = n
         self.k = k
-        bits = n * k
-        if dense is None:
-            dense = bits <= DENSE_BIT_CAP and not callable(values)
-        if dense and bits > DENSE_BIT_CAP:
-            raise CapExceeded(f"dense table needs {bits} > {DENSE_BIT_CAP} index bits")
         self._table = None
         self._fn = None
-        if dense:
-            size = 1 << bits
-            table = [0] * size
-            if callable(values):
-                for masks in product(range(1 << n), repeat=k):
-                    table[self._index(masks)] = values(*masks)
-            elif isinstance(values, dict):
-                for masks, v in values.items():
-                    table[self._index(masks)] = v
-            else:
-                if len(values) != size:
-                    raise ValueError(f"dense table must have {size} entries")
-                table = list(values)
-            self._table = table
-        else:
-            if not callable(values):
-                raise ValueError("callback storage requires a callable")
+        if callable(values):
             self._fn = values
+            return
+        bits = n * k
+        if bits > DENSE_BIT_CAP:
+            raise CapExceeded(f"dense table needs {bits} > {DENSE_BIT_CAP} index bits")
+        size = 1 << bits
+        if isinstance(values, dict):
+            table = [0] * size
+            for masks, v in values.items():
+                table[self._index(masks)] = v
+        else:
+            if len(values) != size:
+                raise ValueError(f"dense table must have {size} entries")
+            table = list(values)
+        self._table = table
 
     @property
     def table(self) -> Optional[list]:

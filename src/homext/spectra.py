@@ -184,15 +184,15 @@ def quadratic_form_pair(A, B) -> HomogeneousPair:
     )
 
 
-def _abs_subgrad_terms(x, weights, tol=0.0):
+def _abs_subgrad_terms(x, weights):
     """center and segments of d sum_i w_i |x_i|."""
     n = len(x)
     center = np.zeros(n)
     segs = []
     for i in range(n):
-        if x[i] > tol:
+        if x[i] > 0:
             center[i] = weights[i]
-        elif x[i] < -tol:
+        elif x[i] < 0:
             center[i] = -weights[i]
         else:
             e = np.zeros(n)
@@ -356,10 +356,11 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
                            data={"hypergraph": H})
 
 
-def diagonal_tensor(k: int, n: int, weights=None) -> SymmetricTensor:
+def diagonal_tensor(k: int, n: int) -> SymmetricTensor:
+    """The order-k identity tensor: 1 on every diagonal entry."""
     T = SymmetricTensor(k, n)
     for i in range(n):
-        T[(i,) * k] = 1.0 if weights is None else float(weights[i])
+        T[(i,) * k] = 1.0
     return T
 
 
@@ -525,31 +526,22 @@ class SubspaceProjection:
         return self._minimize(np.asarray(x, dtype=float))
 
 
-def projection_diag_power(weights, p: float, basis) -> SubspaceProjection:
-    """Projection oracle for G(x) = sum w_i |x_i|^p along span(basis rows).
+def projection_diag_power(weights, p: float, direction) -> SubspaceProjection:
+    """Projection oracle for G(x) = sum w_i |x_i|^p along the line spanned
+    by ``direction``.
 
-    One dimension is one g_pi_projection call: closed forms for p = 1, 2,
-    else its safeguarded Newton search, which starts at t = 0 and so
-    stops after one or two evaluations on a point that is already
-    projected.  Higher dimensions run cyclic sweeps of these
-    one-dimensional minimizations (G convex, so this converges).
+    One g_pi_projection call: closed forms for p = 1, 2, else its
+    safeguarded Newton search, which starts at t = 0 and so stops after
+    one or two evaluations on a point that is already projected.
     """
     w = np.asarray(weights, dtype=float)
-    B = np.asarray(basis, dtype=float).reshape(-1, w.size)
+    v = np.asarray(direction, dtype=float)
 
     def minimize(x):
-        z = np.zeros_like(x)
-        for _ in range(60 if B.shape[0] > 1 else 1):
-            changed = 0.0
-            for r in range(B.shape[0]):
-                _, t = g_pi_projection(x + z, B[r], w, p)
-                z = z - t * B[r]
-                changed = max(changed, abs(t))
-            if changed < 1e-13:
-                break
-        return float(np.sum(w * np.abs(x + z) ** p)), z
+        val, t = g_pi_projection(x, v, w, p)
+        return val, 0.0 - t * v         # zero steps are +0.0: x + z maps -0.0 to +0.0
 
-    return SubspaceProjection(B, minimize)
+    return SubspaceProjection(v, minimize)
 
 
 def projection_quadratic(Bmat, basis) -> SubspaceProjection:
@@ -768,14 +760,17 @@ class CWReport:
     iterations: int
 
 
-def collatz_wielandt_max(C, D=None, x0=None, iters: int = 20000,
-                         tol: float = 1e-10) -> CWReport:
+CW_MAX_ITERS = 20000
+
+
+def collatz_wielandt_max(C, D=None, tol: float = 1e-10) -> CWReport:
     """Largest eigenvalue of a nonnegative pair by shifted power iteration.
 
     ``C`` is a nonnegative symmetric matrix or SymmetricTensor; ``D`` the
     positive diagonal reference (identity weights by default).  The
-    certificate is the interval [min_i, max_i] of
-    (C x^{k-1})_i / (D x^{k-1})_i, whose collapse proves optimality.
+    iteration starts at the uniform vector and runs at most
+    ``CW_MAX_ITERS`` steps.  The certificate is the interval [min_i, max_i]
+    of (C x^{k-1})_i / (D x^{k-1})_i, whose collapse proves optimality.
     """
     if isinstance(C, SymmetricTensor):
         k = C.order
@@ -802,11 +797,11 @@ def collatz_wielandt_max(C, D=None, x0=None, iters: int = 20000,
     if np.any(dvec <= 0):
         raise ValueError("D must be positive on the diagonal")
 
-    x = np.full(n, 1.0) if x0 is None else np.abs(np.asarray(x0, dtype=float))
+    x = np.full(n, 1.0)
     x = x / np.linalg.norm(x)
     lo = hi = np.nan
     it = 0
-    for it in range(1, iters + 1):
+    for it in range(1, CW_MAX_ITERS + 1):
         cx = apply_C(x)
         dx = dvec * x ** (k - 1)
         ratios = cx / dx
@@ -925,30 +920,6 @@ def _dual_vector(g, q):
     return y / nrm if nrm > 0 else y
 
 
-def operator_norm_ascent(T, p, q, seed=42, starts=16, iters=200) -> tuple[float, np.ndarray]:
-    """max ||T x||_p / ||x||_q by multi-start conditional-gradient ascent."""
-    T = np.asarray(T, dtype=float)
-    n = T.shape[1]
-    best, bx = 0.0, None
-    for c in range(starts):
-        x = _rng_for(seed, c).normal(size=n)
-        x = x / _norm(x, q)
-        for _ in range(iters):
-            y = T @ x
-            if _norm(y, p) == 0:
-                break
-            g = T.T @ _dual_vector(y, holder_conjugate(p))
-            xn = _dual_vector(g, q)
-            if np.allclose(xn, x):
-                x = xn
-                break
-            x = xn
-        val = _norm(T @ x, p)
-        if val > best:
-            best, bx = val, x
-    return best, bx
-
-
 def operator_norm_exact(T, p, q) -> Optional[float]:
     """Exact mixed operator norm where a finite route exists:
     (2, 2) via singular values; q = inf or p = 1 by sign enumeration."""
@@ -976,30 +947,29 @@ class DualityReport:
     primal: float
     dual: float
     gap: float
-    primal_exact: Optional[float]
-    dual_exact: Optional[float]
 
 
-def duality_spectrum_check(T, p, q, seed=42, starts=16) -> DualityReport:
-    """max ||T x||_p / ||x||_q against max ||T^t y||_{q*} / ||y||_{p*}."""
+def duality_spectrum_check(T, p, q) -> DualityReport:
+    """max ||T x||_p / ||x||_q against max ||T^t y||_{q*} / ||y||_{p*},
+    both by ``operator_norm_exact``; a norm pair without an exact route on
+    either side raises ``ValueError``."""
     T = np.asarray(T, dtype=float)
-    pe = operator_norm_exact(T, p, q)
-    de = operator_norm_exact(T.T, holder_conjugate(q), holder_conjugate(p))
-    pa, _ = operator_norm_ascent(T, p, q, seed=seed, starts=starts)
-    da, _ = operator_norm_ascent(T.T, holder_conjugate(q), holder_conjugate(p),
-                                 seed=seed, starts=starts)
-    primal = pe if pe is not None else pa
-    dual = de if de is not None else da
-    return DualityReport(primal, dual, abs(primal - dual), pe, de)
+    primal = operator_norm_exact(T, p, q)
+    dual = operator_norm_exact(T.T, holder_conjugate(q), holder_conjugate(p))
+    if primal is None or dual is None:
+        raise ValueError(f"no exact operator norm route for (p, q) = ({p}, {q}) "
+                         f"on a {T.shape[0]}x{T.shape[1]} matrix")
+    return DualityReport(primal, dual, abs(primal - dual))
 
 
-def incidence_vertex_edge_spectra(B, tol=1e-9) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nonzero spectra of B B^T and B^T B; must agree at p = 2."""
+def incidence_vertex_edge_spectra(B) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nonzero spectra of B B^T and B^T B (eigenvalues above 1e-9); must
+    agree at p = 2."""
     B = np.asarray(B, dtype=float)
     wv, _ = jacobi_eigh(B @ B.T)
     we, _ = jacobi_eigh(B.T @ B)
-    nv = np.sort(wv[wv > tol])
-    ne = np.sort(we[we > tol])
+    nv = np.sort(wv[wv > 1e-9])
+    ne = np.sort(we[we > 1e-9])
     if nv.size != ne.size:
         return nv, ne, np.inf
     gap = float(np.max(np.abs(nv - ne))) if nv.size else 0.0
@@ -1012,28 +982,20 @@ def incidence_vertex_edge_spectra(B, tol=1e-9) -> tuple[np.ndarray, np.ndarray, 
 # support-function duality of the inner problem
 # ---------------------------------------------------------------------------
 
-def _quad_min_ball(M, w, radius):
-    """argmin of z^T M z - w.z over the l2 ball of the given radius."""
-    if radius <= 0:
-        return np.zeros(w.size)
-    z = _inner_quadratic(M * radius * radius, w * radius)
-    return radius * z
-
-
-def _quad_min_box(M, w, radius, sweeps=300):
-    """argmin of z^T M z - w.z over the box [-radius, radius]^n by exact
-    coordinate minimization sweeps."""
+def _quad_min_box(M, w):
+    """argmin of z^T M z - w.z over the box [-1, 1]^n by exact coordinate
+    minimization sweeps."""
     n = w.size
     z = np.zeros(n)
-    for _ in range(sweeps):
+    for _ in range(300):
         delta = 0.0
         for i in range(n):
             rest = 2.0 * (M[i] @ z - M[i, i] * z[i])
             if M[i, i] > 1e-300:
                 zi = (w[i] - rest) / (2.0 * M[i, i])
             else:
-                zi = radius * np.sign(w[i] - rest)
-            zi = min(max(zi, -radius), radius)
+                zi = np.sign(w[i] - rest)
+            zi = min(max(zi, -1.0), 1.0)
             delta = max(delta, abs(zi - z[i]))
             z[i] = zi
         if delta < 1e-14:
@@ -1041,8 +1003,8 @@ def _quad_min_box(M, w, radius, sweeps=300):
     return z
 
 
-def _sphere_norm2_max(A, b, radius=1.0):
-    """max of ||A y + b||_2 over ||y||_2 <= radius (attained on the sphere).
+def _sphere_norm2_max(A, b):
+    """max of ||A y + b||_2 over ||y||_2 <= 1 (attained on the sphere).
 
     Stationarity (A^T A - mu I) y = -A^T b with mu above the top eigenvalue;
     ||y(mu)|| decreases in mu, so bisection finds the norm constraint.  The
@@ -1060,53 +1022,54 @@ def _sphere_norm2_max(A, b, radius=1.0):
     def y_of(mu):
         return np.linalg.solve(M - mu * np.eye(n), -c)
 
-    hi = lam_top + max(np.linalg.norm(c) / radius, 1e-6) + 1.0
+    hi = lam_top + max(np.linalg.norm(c), 1e-6) + 1.0
     lo = lam_top + 1e-12
     try:
         ylo = y_of(lo)
         nlo = np.linalg.norm(ylo)
     except np.linalg.LinAlgError:
         nlo = np.inf
-    if nlo < radius:               # hard case: pad with a top eigenvector
+    if nlo < 1.0:                  # hard case: pad with a top eigenvector
         v = V[:, -1]
-        t = np.sqrt(max(radius * radius - nlo * nlo, 0.0))
+        t = np.sqrt(max(1.0 - nlo * nlo, 0.0))
         y = (ylo if np.isfinite(nlo) else np.zeros(n)) + t * v
         return float(np.linalg.norm(A @ y + b)), y
-    while np.linalg.norm(y_of(hi)) > radius:
+    while np.linalg.norm(y_of(hi)) > 1.0:
         hi = lam_top + 2 * (hi - lam_top)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.linalg.norm(y_of(mid)) > radius:
+        if np.linalg.norm(y_of(mid)) > 1.0:
             lo = mid
         else:
             hi = mid
     y = y_of(hi)
     ny = np.linalg.norm(y)
     if ny > 0:
-        y = radius * y / ny
+        y = y / ny
     return float(np.linalg.norm(A @ y + b)), y
 
 
-def _l1_min_box_lp(A, b, lin, radius):
-    """Exact min of ||A z + b||_1 - lin.z over the box [-radius, radius]^n."""
-    res = l1_residual_lp(A, b, np.ones(A.shape[0]), lin, radius)
+def _l1_min_box_lp(A, b, lin):
+    """Exact min of ||A z + b||_1 - lin.z over the box [-1, 1]^n."""
+    res = l1_residual_lp(A, b, np.ones(A.shape[0]), lin, 1.0)
     if res.status != "optimal":
         raise RuntimeError("box l1 LP failed")
     z = res.x[:A.shape[1]]
     return float(np.sum(np.abs(A @ z + b)) - lin @ z), z
 
 
-def _mm_norm_min(A, b, lin, inner, fnorm, iters=120):
+def _mm_norm_min(A, b, lin, inner, fnorm):
     """min of ||A z + b||_fnorm - lin.z over a convex set, by majorizing the
-    norm with a quadratic at the current point; ``inner`` solves the
-    quadratic model argmin z^T M z - w.z over the set exactly."""
+    norm with a quadratic at the current point (at most 120 steps);
+    ``inner`` solves the quadratic model argmin z^T M z - w.z over the set
+    exactly."""
     m, n = A.shape
     AtA = A.T @ A
     z = inner(np.eye(n) * 1e-12, lin)
     # the origin is always feasible and is where the majorant degenerates
     best_val, best_z = _norm(b, fnorm), np.zeros(n)
     prev = np.inf
-    for _ in range(iters):
+    for _ in range(120):
         r = A @ z + b
         if fnorm == 2:
             t = max(np.linalg.norm(r), 1e-12)
@@ -1142,16 +1105,19 @@ class DualInnerReport:
         return abs(self.max_primal - self.max_dual)
 
 
-def dual_inner_problem_check(T, u, fnorm: float = 2.0, ball: str = "l2",
-                             radius: float = 1.0, seed: int = 42,
-                             starts: int = 16) -> DualInnerReport:
-    """min/max over x in B of F(T x) - x.u against the support-function
-    dual over the unit ball of the dual norm F*.
+DUAL_INNER_STARTS = 16
 
-    F is the l1 or l2 norm and B an l2 or sup-norm ball.  Minima run by
-    majorize-minimize with exact quadratic steps; maxima of the convex
+
+def dual_inner_problem_check(T, u, fnorm: float = 2.0, ball: str = "l2",
+                             seed: int = 42) -> DualInnerReport:
+    """min/max over x in the unit ball B of F(T x) - x.u against the
+    support-function dual over the unit ball of the dual norm F*.
+
+    F is the l1 or l2 norm and B the l2 or sup-norm unit ball.  Minima run
+    by majorize-minimize with exact quadratic steps; maxima of the convex
     objectives sit on extreme sets and use sign enumeration, the spherical
-    quadratic maximizer, or monotone conditional-gradient ascent.
+    quadratic maximizer, or monotone conditional-gradient ascent from the
+    dual maximizer's direction and ``DUAL_INNER_STARTS`` seeded starts.
     """
     T = np.asarray(T, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -1163,55 +1129,42 @@ def dual_inner_problem_check(T, u, fnorm: float = 2.0, ball: str = "l2",
     fnorm = float(fnorm)
 
     def inner_primal(M, w):
-        return _quad_min_ball(M, w, radius) if ball == "l2" \
-            else _quad_min_box(M, w, radius)
+        return _inner_quadratic(M, w) if ball == "l2" else _quad_min_box(M, w)
 
     if fnorm == 1.0 and ball == "linf":
-        min_primal, _ = _l1_min_box_lp(T, np.zeros(m), u, radius)
+        min_primal, _ = _l1_min_box_lp(T, np.zeros(m), u)
     else:
         min_primal, _ = _mm_norm_min(T, np.zeros(m), u, inner_primal, fnorm)
 
     # dual: - min over F*(y) <= 1 of h_B(u - T^t y)
-    hnorm = 2.0 if ball == "l2" else 1.0    # h_B = radius * ||.||_hnorm
+    hnorm = 2.0 if ball == "l2" else 1.0    # h_B = ||.||_hnorm
 
     def inner_dual(M, w):
-        return _quad_min_ball(M, w, 1.0) if fnorm == 2.0 \
-            else _quad_min_box(M, w, 1.0)
+        return _inner_quadratic(M, w) if fnorm == 2.0 else _quad_min_box(M, w)
 
     if hnorm == 1.0 and fnorm == 1.0:
-        dval, _ = _l1_min_box_lp(-radius * T.T, radius * u, np.zeros(m), 1.0)
+        dval, _ = _l1_min_box_lp(-T.T, u, np.zeros(m))
     else:
-        dval, _ = _mm_norm_min(-radius * T.T, radius * u, np.zeros(m),
-                               inner_dual, hnorm)
+        dval, _ = _mm_norm_min(-T.T, u, np.zeros(m), inner_dual, hnorm)
     min_dual = -dval
 
     # max over F*(y) <= 1 of h_B(T^t y - u)
-    ywit = None
     if fnorm == 1.0:                        # F* ball is a box: vertices
-        best = -np.inf
+        max_dual = -np.inf
         for s in product((-1.0, 1.0), repeat=m):
             y = np.array(s)
-            val = radius * _norm(T.T @ y - u, hnorm)
-            if val > best:
-                best, ywit = val, y
-        max_dual = best
-    else:
-        if ball == "l2":
-            val, ywit = _sphere_norm2_max(T.T, -u, 1.0)
-            max_dual = radius * val
-        else:                               # h = radius * l1 over the l2 ball
-            best = -np.inf
-            for s in product((-1.0, 1.0), repeat=n):
-                sv = np.array(s)
-                val = radius * (np.linalg.norm(T @ sv) - float(sv @ u))
-                if val > best:
-                    best, ywit = val, None
-            max_dual = best
+            val = _norm(T.T @ y - u, hnorm)
+            if val > max_dual:
+                max_dual, ywit = val, y
+    elif ball == "l2":
+        max_dual, ywit = _sphere_norm2_max(T.T, -u)
+    else:                                   # h = l1 over the l2 ball
+        max_dual = max(np.linalg.norm(T @ np.array(s)) - float(np.array(s) @ u)
+                       for s in product((-1.0, 1.0), repeat=n))
 
     # max over x in B of F(Tx) - x.u
     if ball == "linf":                      # box vertices, exact
-        max_primal = max(_norm(T @ (radius * np.array(s)), fnorm)
-                         - radius * float(np.array(s) @ u)
+        max_primal = max(_norm(T @ np.array(s), fnorm) - float(np.array(s) @ u)
                          for s in product((-1.0, 1.0), repeat=n))
     else:
         def obj(x):
@@ -1223,16 +1176,11 @@ def dual_inner_problem_check(T, u, fnorm: float = 2.0, ball: str = "l2",
                 if _norm(y, fnorm) > 0 else np.zeros(n)
             return g - u
 
-        start_list = []
-        if ywit is not None:
-            g0 = T.T @ ywit - u if fnorm == 1.0 else None
-        if fnorm == 2.0 and ywit is not None:
-            g0 = T.T @ ywit - u
-        if ywit is not None and g0 is not None and np.linalg.norm(g0) > 0:
-            start_list.append(radius * g0 / np.linalg.norm(g0))
-        for c in range(starts):
+        g0 = T.T @ ywit - u
+        start_list = [g0 / np.linalg.norm(g0)] if np.linalg.norm(g0) > 0 else []
+        for c in range(DUAL_INNER_STARTS):
             x = _rng_for(seed, 100 + c).normal(size=n)
-            start_list.append(radius * x / np.linalg.norm(x))
+            start_list.append(x / np.linalg.norm(x))
         best = -np.inf
         for x in start_list:
             for _ in range(300):
@@ -1240,7 +1188,7 @@ def dual_inner_problem_check(T, u, fnorm: float = 2.0, ball: str = "l2",
                 ng = np.linalg.norm(g)
                 if ng == 0:
                     break
-                xn = radius * g / ng
+                xn = g / ng
                 if np.allclose(xn, x, atol=1e-15):
                     break
                 x = xn

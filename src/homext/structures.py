@@ -314,15 +314,12 @@ class SymmetricTensor:
     index multiset.
     """
 
-    def __init__(self, order: int, dim: int, entries: Optional[dict] = None):
+    def __init__(self, order: int, dim: int):
         if order < 1 or dim < 1:
             raise ValueError("order and dim must be positive")
         self.order = order
         self.dim = dim
         self.entries: dict[tuple[int, ...], float] = {}
-        if entries:
-            for idx, v in entries.items():
-                self[idx] = v
 
     def __setitem__(self, idx, v):
         idx = tuple(sorted(idx))
@@ -386,31 +383,12 @@ def huang_signing(m: int) -> np.ndarray:
     return W
 
 
-def hypercube(m: int, weights: Optional[Sequence[float]] = None) -> WeightedGraph:
-    """m-fold Cartesian product of single edges (weights per direction)."""
-    if weights is None:
-        weights = [1.0] * m
-    g = WeightedGraph.from_edges(2, [(0, 1, weights[0])])
-    for w in weights[1:]:
-        g = cartesian_product(g, WeightedGraph.from_edges(2, [(0, 1, w)]))
-    return g
-
-
-def cartesian_product(g: WeightedGraph, h: WeightedGraph) -> WeightedGraph:
-    """Vertices are pairs (a, b); edges copy g along fixed b and h along
-    fixed a.  Vertex (a, b) maps to index a * h.n + b."""
-    n = g.n * h.n
-    W = np.zeros((n, n))
-    for a in range(g.n):
-        for b in range(h.n):
-            v = a * h.n + b
-            for a2 in range(g.n):
-                if g.W[a, a2] != 0:
-                    W[v, a2 * h.n + b] = g.W[a, a2]
-            for b2 in range(h.n):
-                if h.W[b, b2] != 0:
-                    W[v, a * h.n + b2] = h.W[b, b2]
-    return WeightedGraph(W)
+def hypercube(m: int) -> WeightedGraph:
+    """The m-cube on vertices 0..2^m - 1: i ~ j iff i and j differ in one
+    bit, with unit weights."""
+    n = 1 << m
+    return WeightedGraph([[1.0 if popcount(i ^ j) == 1 else 0.0 for j in range(n)]
+                          for i in range(n)])
 
 
 class SimplicialComplex:

@@ -30,12 +30,25 @@ from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
 TOL_EXACT = 1e-9        # exact-linear-algebra checks
 TOL_ITER = 1e-6         # iterative solvers
 TOL_SLACK = 1e-8        # inequality slack, absolute
+TOL_SION = 1e-5         # infsup against supinf in the Sion checks
 MINIMAX_CONE_CAP = 6
+MINIMAX_TOL = 1e-10     # relative width of a certified minimax bracket
+MINIMAX_ITERS = 60      # Dinkelbach steps per ordering cone
 
 
 def _rng(seed, tag):
     h = zlib.crc32(repr(tag).encode())
     return np.random.default_rng([seed, h])
+
+
+def _worst(*terms):
+    """The largest gap term, or NaN when a term is NaN: the builtin max
+    keeps whichever of a NaN and a number comes first, so a NaN could
+    pass a check.  Every gap in this module goes through here."""
+    for t in terms:
+        if t != t:
+            return float("nan")
+    return max(terms)
 
 
 @dataclass
@@ -226,10 +239,10 @@ class TwoBlockMinimax:
     ``game_lp_value``) either prunes it or gives a w whose max ratio is the
     next t (Dinkelbach; Crouzeix, Ferland & Schaible, JOTA 47, 1985).  The
     LP's dual q bounds the cone below by min_u (q.F'_u)/(q.G_u); a cone is
-    done when that bound is within tol/2 of t, probing just below t when
-    the LP at t makes no progress.  Running out of ``iters`` steps on a
-    cone raises ``CapExceeded``, and so does a final bracket that exact
-    arithmetic does not confirm within tol.
+    done when that bound is within tol/2 of t (tol = ``MINIMAX_TOL``),
+    probing just below t when the LP at t makes no progress.  Running out
+    of ``MINIMAX_ITERS`` steps on a cone raises ``CapExceeded``, and so
+    does a final bracket that exact arithmetic does not confirm within tol.
 
     The value is the max ratio at the best w, computed exactly and rounded
     to nearest; ``infsup_bracket``/``supinf_bracket`` keep the exact
@@ -276,10 +289,11 @@ class TwoBlockMinimax:
         self._supinf_side = (fT, gT, m, n, _is_linear(fT, gT, m, n), -1.0)
 
     @staticmethod
-    def _least_ratio(side, tol, iters):
+    def _least_ratio(side):
         """(s, lo, hi, point, duals): the side's least max ratio s, rounded
         to nearest, and its bracket and certificates (``MinimaxBracket``)."""
         F, G, n, m, linear, sign = side
+        tol, iters = MINIMAX_TOL, MINIMAX_ITERS
         if linear:
             cones = [[1 << i for i in range(n)]]
         elif n > MINIMAX_CONE_CAP:
@@ -358,13 +372,13 @@ class TwoBlockMinimax:
             raise setfn.CapExceeded(f"minimax bracket [{lo!r}, {hi!r}] not certified to {tol}")
         return s, lo, hi, point, tuple((cones[k], q) for k, q in sorted(duals.items()))
 
-    def infsup(self, tol=1e-10, iters=60) -> float:
-        s, lo, hi, point, duals = self._least_ratio(self._infsup_side, tol, iters)
+    def infsup(self) -> float:
+        s, lo, hi, point, duals = self._least_ratio(self._infsup_side)
         self.infsup_bracket = MinimaxBracket(lo, hi, point, duals)
         return s
 
-    def supinf(self, tol=1e-10, iters=60) -> float:
-        s, lo, hi, point, duals = self._least_ratio(self._supinf_side, tol, iters)
+    def supinf(self) -> float:
+        s, lo, hi, point, duals = self._least_ratio(self._supinf_side)
         self.supinf_bracket = MinimaxBracket(0.0 - hi, 0.0 - lo, point, duals)
         return 0.0 - s
 
@@ -398,13 +412,13 @@ def game_lp_value(C) -> float:
 # ---------------------------------------------------------------------------
 
 def check_saddle_transfer(f: SetTupleFunction, g: SetTupleFunction,
-                          check_id="saddle", tol=TOL_ITER, seed=42) -> VerificationReport:
+                          check_id="saddle", tol=TOL_ITER) -> VerificationReport:
     """Discrete minimax against the continuous extension minimax.
 
-    When the discrete saddle exists, all four values must agree and the
-    indicator pair must be a continuous saddle (directional sampling);
-    otherwise the continuous values must sit inside the discrete sandwich
-    and agree with each other is recorded, not required.
+    Always the continuous sup inf must not exceed the continuous inf sup
+    or the discrete minimax, and the discrete maximin must not exceed the
+    continuous inf sup.  When the discrete saddle exists (minimax =
+    maximin), both continuous values must also equal it.
     """
     t0 = time.perf_counter()
     dmm, dmx = discrete_minimax(f, g)
@@ -417,11 +431,11 @@ def check_saddle_transfer(f: SetTupleFunction, g: SetTupleFunction,
              "cont_infsup": cis, "cont_supinf": csi}
     gap = csi - cis                            # inf sup >= sup inf
     if dmm is not None and np.isfinite(dmm):
-        gap = max(gap, csi - dmm)
+        gap = _worst(gap, csi - dmm)
     if dmx is not None and np.isfinite(dmx):
-        gap = max(gap, dmx - cis)
+        gap = _worst(gap, dmx - cis)
     if dmm is not None and dmx is not None and np.isfinite(dmm) and dmm == dmx:
-        gap = max(gap, abs(cis - dmm), abs(csi - dmm))
+        gap = _worst(gap, abs(cis - dmm), abs(csi - dmm))
         extra["saddle_transferred"] = True
     anchor = "saddle transfer: discrete minimax = maximin implies the " \
              "extension minimax agrees; always maximin <= cont <= minimax"
@@ -430,7 +444,7 @@ def check_saddle_transfer(f: SetTupleFunction, g: SetTupleFunction,
 
 
 def check_sion_case(f: SetTupleFunction, g: SetTupleFunction,
-                    check_id="sion", tol=1e-5) -> VerificationReport:
+                    check_id="sion") -> VerificationReport:
     """Submodular-in-first / supermodular-in-second f with modular positive
     g: the continuous minimax closes even when the discrete one does not.
 
@@ -450,12 +464,12 @@ def check_sion_case(f: SetTupleFunction, g: SetTupleFunction,
     anchor = "convex-concave extension minimax equals maximin (Sion)"
     if not ok:
         return VerificationReport(check_id, anchor, f"n={f.n}", None, None,
-                                  np.inf, tol, "skip", time.perf_counter() - t0)
+                                  np.inf, TOL_SION, "skip", time.perf_counter() - t0)
     engine = TwoBlockMinimax(f, g)
     cis, csi = engine.infsup(), engine.supinf()
     dmm, dmx = discrete_minimax(f, g)
     return VerificationReport.make(
-        check_id, anchor, f"n={f.n}", cis, csi, abs(cis - csi), tol, t0,
+        check_id, anchor, f"n={f.n}", cis, csi, abs(cis - csi), TOL_SION, t0,
         {"discrete_minimax": dmm, "discrete_maximin": dmx})
 
 
@@ -476,8 +490,7 @@ def _ascent_samples(rng, n, count):
 
 def check_indicator_and_equalities(f: SetTupleFunction, g: SetTupleFunction,
                                    family="full", check_id="identity",
-                                   samples=300, seed=42,
-                                   tol=TOL_SLACK) -> VerificationReport:
+                                   samples=300, seed=42) -> VerificationReport:
     """The perfect-pair ratio check: the exact range of f/g over a set
     family against sampled extension ratios on its continuous side.
 
@@ -527,21 +540,21 @@ def check_indicator_and_equalities(f: SetTupleFunction, g: SetTupleFunction,
         if gx == 0:
             continue
         r = extend.multilinear(f, xs) / gx
-        worst = max(worst, r - float(dmax), float(dmin) - r)
+        worst = _worst(worst, r - float(dmax), float(dmin) - r)
     ind = [[(witness[l] >> i) & 1 for i in range(n)] for l in range(k)]
     attained = extend.multilinear(f, ind) / extend.multilinear(g, ind)
-    gap = max(worst, abs(float(attained - target)), float(outside))
+    gap = _worst(worst, abs(float(attained - target)), float(outside))
     anchor = "the extension's ratio range on the continuous side of a domain " \
              "pair is the discrete one; the witness indicator attains the max"
     return VerificationReport.make(
         check_id, anchor, f"n={n},k={k},{family}", float(attained),
-        float(dmax), gap, tol, t0,
+        float(dmax), gap, TOL_SLACK, t0,
         {"discrete_min": float(dmin), "witness": witness, "outside_family": outside})
 
 
 def check_quasiconcave_composition(fs: list[SetTupleFunction], kind="product",
                                    check_id="quasiconcave", samples=300,
-                                   seed=42, tol=TOL_SLACK) -> VerificationReport:
+                                   seed=42) -> VerificationReport:
     """H(f_1(A), ..., f_m(A)) with H = P/(sum)^d for a log-concave P:
     the discrete minimum over sets equals the continuous infimum over the
     positive orthant; sampled values never drop below the discrete min."""
@@ -576,17 +589,17 @@ def check_quasiconcave_composition(fs: list[SetTupleFunction], kind="product",
         if h is None:
             continue
         attained = min(attained, h)
-        worst = max(worst, dmin - h)
+        worst = _worst(worst, dmin - h)
     indw = [1.0 if (wit >> i) & 1 else 0.0 for i in range(n)]
     z = [float(extend.lovasz(fi, indw)) for fi in fs]
-    worst = max(worst, abs(H(z) - dmin))
+    worst = _worst(worst, abs(H(z) - dmin))
     # zero-homogeneity spot check of H
     zt = [v * 3.7 for v in z]
-    worst = max(worst, abs(H(zt) - H(z)))
+    worst = _worst(worst, abs(H(zt) - H(z)))
     anchor = "zero-homogeneous quasi-concave composition of extensions " \
              "attains its infimum at a set indicator"
     return VerificationReport.make(check_id, anchor, f"n={n},m={m},{kind}",
-                                   dmin, attained, worst, tol, t0,
+                                   dmin, attained, worst, TOL_SLACK, t0,
                                    {"witness": wit})
 
 
@@ -594,19 +607,22 @@ def check_quasiconcave_composition(fs: list[SetTupleFunction], kind="product",
 # instance generators
 # ---------------------------------------------------------------------------
 
-def rand_connected_graph(rng, n_lo=4, n_hi=10, p=0.5) -> WeightedGraph:
+def rand_connected_graph(rng, n_lo=4, n_hi=10) -> WeightedGraph:
+    """Erdos-Renyi graph with edge probability 1/2 on n_lo..n_hi vertices,
+    resampled until connected."""
     while True:
         n = int(rng.integers(n_lo, n_hi + 1))
-        g = WeightedGraph.erdos_renyi(n, p, rng)
+        g = WeightedGraph.erdos_renyi(n, 0.5, rng)
         if g.n and g.is_connected() and len(g.edges()) >= n - 1:
             return g
 
 
-def rand_two_complex(rng, n_lo=5, n_hi=6, p=0.5) -> SimplicialComplex:
-    """Random graph plus each of its triangles kept with probability 1/2;
-    resampled until at least one triangle survives."""
+def rand_two_complex(rng) -> SimplicialComplex:
+    """Random connected graph on 5 or 6 vertices plus each of its triangles
+    kept with probability 1/2; resampled until at least one triangle
+    survives."""
     while True:
-        g = rand_connected_graph(rng, n_lo, n_hi, p)
+        g = rand_connected_graph(rng, 5, 6)
         tris = [c for c in combinations(range(g.n), 3)
                 if g.W[c[0], c[1]] and g.W[c[0], c[2]] and g.W[c[1], c[2]]
                 and rng.random() < 0.5]
@@ -615,10 +631,10 @@ def rand_two_complex(rng, n_lo=5, n_hi=6, p=0.5) -> SimplicialComplex:
             return SimplicialComplex(tris + edges)
 
 
-def rand_chemical(rng, n_lo=4, n_hi=8, edges=None) -> ChemicalHypergraph:
+def rand_chemical(rng, n_lo=4, n_hi=8) -> ChemicalHypergraph:
     while True:
         n = int(rng.integers(n_lo, n_hi + 1))
-        ecount = edges or int(rng.integers(n, 2 * n))
+        ecount = int(rng.integers(n, 2 * n))
         es = []
         for _ in range(ecount):
             size = int(rng.integers(2, 5))
@@ -690,9 +706,8 @@ def suite_tables(seed=42, points=100) -> list[VerificationReport]:
 
     rows = []
 
-    def sample(signed=True):
-        lo = -1.0 if signed else 0.0
-        return rng.uniform(lo, 1.0, n)
+    def sample():
+        return rng.uniform(-1.0, 1.0, n)
 
     # ordered adjacent pairs -> sum over edges of x_i y_j + x_j y_i
     def row_edges():
@@ -742,7 +757,7 @@ def suite_tables(seed=42, points=100) -> list[VerificationReport]:
 
     for name, fn in rows:
         t0 = time.perf_counter()
-        worst = max(fn() for _ in range(points))
+        worst = _worst(*(fn() for _ in range(points)))
         out.append(VerificationReport.make(
             f"closed-form-{name}",
             "extension matches its closed form", f"{points} random points",
@@ -776,9 +791,9 @@ def suite_saddle(seed=42, games=20) -> list[VerificationReport]:
     gfun = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
     rep = check_saddle_transfer(f, gfun, check_id="saddle-path3", tol=1e-8)
     dmm, dmx = rep.extra["discrete_minimax"], rep.extra["discrete_maximin"]
-    gap = max(rep.gap, abs(dmm - 2.0), abs(dmx - 1.0),
-              abs(rep.extra["cont_infsup"] - np.sqrt(2.0)),
-              abs(rep.extra["cont_supinf"] - np.sqrt(2.0)))
+    gap = _worst(rep.gap, abs(dmm - 2.0), abs(dmx - 1.0),
+                 abs(rep.extra["cont_infsup"] - np.sqrt(2.0)),
+                 abs(rep.extra["cont_supinf"] - np.sqrt(2.0)))
     rep = VerificationReport.make(
         "saddle-path3", "path on three vertices: discrete (2, 1), "
         "continuous minimax sqrt(2) both ways", "P3",
@@ -798,7 +813,7 @@ def suite_saddle(seed=42, games=20) -> list[VerificationReport]:
         engine = TwoBlockMinimax.from_tables(fv, gv, n, m)
         cis, csi = engine.infsup(), engine.supinf()
         v = game_lp_value(C)
-        gap = max(abs(cis - v), abs(csi - v))
+        gap = _worst(abs(cis - v), abs(csi - v))
         out.append(VerificationReport.make(
             "saddle-game", "payoff-game extension minimax equals the game "
             "LP value both ways", f"game #{idx} {n}x{m}", cis, v, gap,
@@ -818,10 +833,10 @@ def suite_sion(seed=42, instances=5) -> list[VerificationReport]:
     g = SetTupleFunction(n, 2, lambda a, b: popcount(a) * popcount(b))
     rep = check_sion_case(f, g, check_id="sion-bilinear")
     v = game_lp_value(C)
-    gap = max(rep.gap, abs(float(rep.lhs) - v))
+    gap = _worst(rep.gap, abs(float(rep.lhs) - v))
     out.append(VerificationReport.make(
         "sion-bilinear", "modular payoff case equals the game LP value",
-        "4x4 game", rep.lhs, v, gap, 1e-5, t0, rep.extra))
+        "4x4 game", rep.lhs, v, gap, TOL_SION, t0, rep.extra))
     for idx in range(instances):
         gG = rand_connected_graph(rng, n, n)
         gH = rand_connected_graph(rng, n, n)
@@ -846,12 +861,13 @@ def suite_quasiconcave(seed=42, samples=200) -> list[VerificationReport]:
     n = 4
     # equal arguments: the ratio is identically 1/4
     f1 = rand_table(rng, n, 1, lo=1, hi=9)
+    t0 = time.perf_counter()
     rep = check_quasiconcave_composition([f1, f1], kind="product",
                                          check_id="quasiconcave-equal",
                                          samples=samples, seed=seed)
-    gap = max(rep.gap, abs(float(rep.lhs) - 0.25))
-    rep.gap, rep.verdict = gap, ("pass" if gap <= rep.tolerance else "fail")
-    out.append(rep)
+    out.append(VerificationReport.make(
+        rep.check_id, rep.anchor, rep.instance, rep.lhs, rep.rhs,
+        _worst(rep.gap, abs(float(rep.lhs) - 0.25)), rep.tolerance, t0, rep.extra))
     # random monotone tables
     for idx in range(3):
         fs = []
@@ -894,7 +910,7 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
         avg_deg = max(g.subgraph(a).W.sum() / popcount(a)
                       for a in range(1, 1 << g.n))
         max_deg = float(A.sum(axis=1).max())
-        gap = max(avg_deg - lam, lam - max_deg)
+        gap = _worst(avg_deg - lam, lam - max_deg)
         # comaximal side: sampled comaximal pairs never beat the discrete
         # max of #E(A, B) / #(A & B) over intersecting pairs
         disc = _intersecting_pair_max(A)
@@ -905,7 +921,7 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
             x[top] = y[top] = 1.5          # shared maximum: comaximal
             assert extend.comaximal_check(list(x), list(y))
             val = float(x @ A @ y) / float(x @ y)
-            gap = max(gap, val - float(disc))
+            gap = _worst(gap, val - float(disc))
         out.append(VerificationReport.make(
             "spectral-radius-sandwich",
             "max induced average degree <= lambda_max <= max degree; "
@@ -928,7 +944,7 @@ def suite_cheeger_graph(seed=42, instances=50) -> list[VerificationReport]:
         L, D = g.laplacian(), np.diag(g.degrees)
         w, _ = spectra.quadratic_pair_spectrum(L, D)
         lam2 = w[1]
-        worst = max(worst, h * h / 2.0 - lam2, lam2 - 2.0 * h)
+        worst = _worst(worst, h * h / 2.0 - lam2, lam2 - 2.0 * h)
         checked += 1
     out.append(VerificationReport.make(
         "cheeger-graph", "h^2/2 <= lambda_2 <= 2h (normalized Laplacian)",
@@ -962,7 +978,7 @@ def suite_cheeger_chemical(seed=42, instances=6, ps=(1.5, 2.0),
                 extra_starts=[ind], inner_iters=150, max_outer=25,
                 certify=False)
             lam = ep.lam
-            gap = max(h ** p / p ** p - lam, lam - 2.0 ** (p - 1) * h)
+            gap = _worst(h ** p / p ** p - lam, lam - 2.0 ** (p - 1) * h)
             mono = all(a >= b - 1e-12 for a, b in zip(ep.history, ep.history[1:]))
             out.append(VerificationReport.make(
                 "cheeger-chemical",
@@ -988,12 +1004,12 @@ def suite_nodal_inertia(seed=42, instances=30) -> list[VerificationReport]:
         w, V = spectra.quadratic_pair_spectrum(L, D)
         le = sum(1 for v in w if v <= 1.0 + 1e-9)
         ge = sum(1 for v in w if v >= 1.0 - 1e-9)
-        worst_inertia = max(worst_inertia, alpha - min(le, ge))
+        worst_inertia = _worst(worst_inertia, alpha - min(le, ge))
         A = (g.W != 0).astype(float)
         wa, _ = spectra.jacobi_eigh(A)
         le0 = sum(1 for v in wa if v <= 1e-9)
         ge0 = sum(1 for v in wa if v >= -1e-9)
-        worst_inertia = max(worst_inertia, alpha - min(le0, ge0))
+        worst_inertia = _worst(worst_inertia, alpha - min(le0, ge0))
         for i in range(n):
             lam = w[i]
             cluster = [j for j in range(n) if abs(w[j] - lam) <= 1e-8]
@@ -1002,7 +1018,7 @@ def suite_nodal_inertia(seed=42, instances=30) -> list[VerificationReport]:
             bound = min(b, n - b + r)
             nd = cst.nodal_domains(V[:, i], g,
                                    tol=1e-8 * np.abs(V[:, i]).max())
-            worst_nodal = max(worst_nodal, nd - bound)
+            worst_nodal = _worst(worst_nodal, nd - bound)
     rep1 = VerificationReport.make(
         "inertia-bound", "alpha <= min(#{lam <= c}, #{lam >= c}) at the "
         "flat level of the pair", f"{instances} graphs", None, None,
@@ -1103,13 +1119,13 @@ def suite_simplicial(seed=42, instances=30) -> list[VerificationReport]:
             Lsg = np.diag(dt) - Wr
             wsg, _ = spectra.quadratic_pair_spectrum(Lsg, np.diag(dt))
             ident = np.abs((d + 2 - wup[::-1]) - (d + 1) * wsg)
-            worst_id = max(worst_id, float(ident.max()))
+            worst_id = _worst(worst_id, float(ident.max()))
             bal, _ = SignedGraph(Wr).balanced_components()
             mult_top = int(np.sum(np.abs(wup - (d + 2)) <= 1e-8))
-            worst_mult = max(worst_mult, abs(mult_top - bal))
+            worst_mult = _worst(worst_mult, abs(mult_top - bal))
             mult_zero = int(np.sum(np.abs(wup) <= 1e-8))
             if d + 1 <= K.dim and K.count(d + 1) > 0:
-                worst_zero = max(worst_zero, (d + 1) - mult_zero)
+                worst_zero = _worst(worst_zero, (d + 1) - mult_zero)
     out.append(VerificationReport.make(
         "simplicial-up-identity", "d+2 - lambda_{n-i+1}(up) = (d+1) * "
         "lambda_i(anti-signed normalized Laplacian)",
@@ -1142,7 +1158,7 @@ def suite_huang(seed=42, ms=(2, 3, 4)) -> list[VerificationReport]:
             mask = mask_of(verts)
             mx = max(popcount(adj[v] & mask) for v in verts)
             worst_deg = min(worst_deg, mx)
-        gap = max(0.0 if sq_ok else 1.0, np.sqrt(m) - worst_deg)
+        gap = _worst(0.0 if sq_ok else 1.0, np.sqrt(m) - worst_deg)
         out.append(VerificationReport.make(
             "huang-degree", "signed square is m*I; any induced subgraph on "
             "2^{m-1}+1 cube vertices has max degree >= sqrt(m)",
@@ -1192,7 +1208,7 @@ def suite_cw(seed=42, instances=20) -> list[VerificationReport]:
         M = 0.5 * (M + M.T)
         rep = spectra.collatz_wielandt_max(M, tol=1e-12)
         w, _ = spectra.jacobi_eigh(M)
-        worst = max(worst, abs(rep.lam - w[-1]))
+        worst = _worst(worst, abs(rep.lam - w[-1]))
         cert = max(cert, rep.hi - rep.lo)
     out.append(VerificationReport.make(
         "collatz-wielandt", "certified power value equals the top "
@@ -1228,8 +1244,8 @@ def suite_duality(seed=42, instances=20) -> list[VerificationReport]:
     for _ in range(instances):
         T = rng.normal(size=(3, 4))
         for (p, q) in pairs:
-            rep = spectra.duality_spectrum_check(T, p, q, seed=seed, starts=8)
-            worst = max(worst, rep.gap)
+            rep = spectra.duality_spectrum_check(T, p, q)
+            worst = _worst(worst, rep.gap)
     out.append(VerificationReport.make(
         "duality-transpose", "max ||Tx||_p/||x||_q = max ||T'y||_{q*}/||y||_{p*}",
         f"{instances} random 3x4 matrices", None, None, worst, 1e-5, t0))
@@ -1238,7 +1254,7 @@ def suite_duality(seed=42, instances=20) -> list[VerificationReport]:
     for _ in range(5):
         g = rand_connected_graph(rng, 4, 8)
         _, _, gap = spectra.incidence_vertex_edge_spectra(g.incidence())
-        worst = max(worst, gap)
+        worst = _worst(worst, gap)
     out.append(VerificationReport.make(
         "p-dual-incidence", "nonzero vertex and edge Laplacian spectra "
         "coincide (p = 2)", "5 random graphs", None, None, worst,
@@ -1252,7 +1268,7 @@ def suite_dual_inner(seed=42, instances=4) -> list[VerificationReport]:
     t0 = time.perf_counter()
     rep = spectra.dual_inner_problem_check(np.eye(3), np.zeros(3),
                                            fnorm=1.0, ball="l2", seed=seed)
-    gap = max(abs(rep.min_primal), abs(rep.min_dual))
+    gap = _worst(abs(rep.min_primal), abs(rep.min_dual))
     out.append(VerificationReport.make(
         "dual-inner-zero", "identity map with zero offset: both sides "
         "vanish at the origin", "T=I, u=0, l1 over l2 ball",
@@ -1265,7 +1281,7 @@ def suite_dual_inner(seed=42, instances=4) -> list[VerificationReport]:
         combo = [(2.0, "l2"), (1.0, "linf")][idx % 2]
         rep = spectra.dual_inner_problem_check(T, u, fnorm=combo[0],
                                                ball=combo[1], seed=seed + idx)
-        gap = max(rep.min_gap, rep.max_gap)
+        gap = _worst(rep.min_gap, rep.max_gap)
         out.append(VerificationReport.make(
             "dual-inner-random", "min/max of F(Tx) - x.u over the ball "
             "equal their support-function duals",
@@ -1287,8 +1303,8 @@ def suite_maxcut(seed=42) -> list[VerificationReport]:
     for name, g, want in cases:
         t0 = time.perf_counter()
         rep = cst.maxcut(g, seed=seed)
-        gap = max(abs(rep.value - want), abs(rep.indicator_value - rep.value),
-                  0.0 if rep.continuous_samples_ok else 1.0)
+        gap = _worst(abs(rep.value - want), abs(rep.indicator_value - rep.value),
+                     0.0 if rep.continuous_samples_ok else 1.0)
         out.append(VerificationReport.make(
             "maxcut-representation", "maxcut equals the sign-constrained "
             "bilinear representation; samples never exceed it",
@@ -1309,7 +1325,7 @@ def suite_maxcut(seed=42) -> list[VerificationReport]:
             continue
         val = 2.0 * float(x @ g.W @ y) / den
         best_seen = max(best_seen, val)
-        worst = max(worst, val - hplus)
+        worst = _worst(worst, val - hplus)
     out.append(VerificationReport.make(
         "dual-cheeger-representation", "2 sum w x y / (||x||inf vol(y) + "
         "||y||inf vol(x)) never exceeds the dual Cheeger constant",
@@ -1355,7 +1371,7 @@ def suite_second_eigen(seed=42) -> list[VerificationReport]:
     Pi[1, g1.n:] = 1.0
     rep = spectra.second_eigen_characterizations(L, D, Pi)
     w, _ = spectra.quadratic_pair_spectrum(L, D)
-    gap = max(rep.gap, abs(rep.projected_form - w[2]))
+    gap = _worst(rep.gap, abs(rep.projected_form - w[2]))
     out.append(VerificationReport.make(
         "second-eigen-disconnected", "with two components the projected "
         "form equals lambda_3", f"n={n}", rep.projected_form, w[2], gap,

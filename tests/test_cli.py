@@ -261,6 +261,25 @@ def test_cmd_spectrum_tensor_cw(tmp_path, capsys):
     assert rc == 0 and "lambda_max = 2" in out
 
 
+def test_cmd_spectrum_tensor_cw_tells_the_file_by_its_header(tmp_path, capsys):
+    # a tensor file's header is 'k n', a uniform hypergraph's is 'k'
+    for name, text in (("edge.txt", "3 3\n1 2 3 1\n"), ("edge.uh", "3\n1 2 3\n")):
+        rc = main(["spectrum", "--mode", "tensor-cw", "--input", write(tmp_path, name, text)])
+        assert rc == 0 and "lambda_max = 2" in capsys.readouterr().out, name
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--pair", "plap"], ["cheeger", "--tol", "1"]])
+def test_options_a_command_does_not_take_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--input", k5_file(tmp_path)])
+    assert e.value.code == 2
+
+
+def test_cmd_cheeger_kway_takes_at_least_two_sets(tmp_path, capsys):
+    rc = main(["cheeger", "--variant", "kway", "--input", k5_file(tmp_path)])
+    assert rc == 0 and capsys.readouterr().out.startswith("2-way: 3/4")
+
+
 def test_cmd_spectrum_dinkelbach_rejects_signless(tmp_path, capsys):
     path = write(tmp_path, "c4.graph", "4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
     rc = main(["spectrum", "--mode", "dinkelbach", "--pair", "signless",

@@ -204,7 +204,7 @@ def test_multilinear_memo_keeps_coordinate_types():
     # still give exact results for int/Fraction and floats for floats
     rng = np.random.default_rng(10)
     dense = rand_table(rng, 3, 2)
-    callback = SetTupleFunction(3, 2, lambda a, b: dense(a, b), dense=False)
+    callback = SetTupleFunction(3, 2, lambda a, b: dense(a, b))
     cases = [[[2, 0, 1], [1, 1, 3]],       # several ordering cells, with ties
              [[1, 1, 1], [1, 1, 1]],       # one cell of unit weight
              [[0, 1, 1], [1, 0, 1]]]       # indicators

@@ -425,6 +425,12 @@ def test_duality_2inf_matches_sign_enumeration():
     assert abs(rep.primal - brute) < 1e-9
 
 
+def test_duality_without_an_exact_route_raises():
+    T = np.random.default_rng(14).normal(size=(3, 3))
+    with pytest.raises(ValueError):
+        duality_spectrum_check(T, 3, 1.5)
+
+
 def test_incidence_spectra_match():
     rng = np.random.default_rng(16)
     for _ in range(5):

@@ -10,7 +10,7 @@ from homext.setfn import mask_of
 from homext.structures import (ChemicalHypergraph, SignedGraph,
                                SimplicialComplex, SymmetricTensor,
                                WeightedGraph, adjacency_tensor,
-                               cartesian_product, huang_signing, hypercube)
+                               huang_signing, hypercube)
 
 from reference_structures import as_set_function, chemical_from_graph, full_form
 
@@ -133,12 +133,11 @@ def test_hypercube_counts():
     assert np.all(g3.degrees == 3)
 
 
-def test_cartesian_product_weights():
-    e1 = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
-    e2 = WeightedGraph.from_edges(2, [(0, 1, 3.0)])
-    c4 = cartesian_product(e1, e2)
-    ws = sorted(w for _, _, w in c4.edges())
-    assert ws == [2.0, 2.0, 3.0, 3.0]
+def test_hypercube_is_the_popcount_adjacency():
+    for m in range(1, 7):
+        i = np.arange(1 << m)
+        want = (np.bitwise_count(i[:, None] ^ i[None, :]) == 1).astype(float)
+        assert hypercube(m).W.tobytes() == want.tobytes()
 
 
 def test_adjacency_tensor_matrix_case():

@@ -226,12 +226,14 @@ def test_engine_uncertified_infinity_raises():
         eng.infsup()
 
 
-def test_engine_iteration_cap_raises():
+def test_engine_iteration_cap_raises(monkeypatch):
     f = WeightedGraph.path(3).ordered_edge_count()
     g = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
     eng = verify.TwoBlockMinimax(f, g)
-    with pytest.raises(CapExceeded):
-        eng.infsup(iters=1)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "MINIMAX_ITERS", 1)
+        with pytest.raises(CapExceeded):
+            eng.infsup()
     assert eng.infsup() == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
@@ -307,6 +309,17 @@ def test_perfect_pair_check_fails_on_a_level_set_outside_the_family(monkeypatch)
                                                     samples=20, seed=4)
         assert rep.extra["outside_family"] == outside, fam
         assert rep.verdict == ("pass" if outside == 0 else "fail"), fam
+
+
+def test_perfect_pair_check_fails_on_a_nan_extension(monkeypatch):
+    # the builtin max dropped a NaN ratio and gave pass with gap 0.0
+    from homext import extend
+    rng = np.random.default_rng(4)
+    f = verify.rand_table(rng, 3, 2, lo=0, hi=9)
+    g = verify.rand_table(rng, 3, 2, lo=1, hi=9)
+    monkeypatch.setattr(extend, "multilinear", lambda f, xs: float("nan"))
+    rep = verify.check_indicator_and_equalities(f, g, "chain", samples=20, seed=4)
+    assert rep.verdict == "fail" and np.isnan(rep.gap)
 
 
 def test_quasiconcave_equal_arguments_quarter():
