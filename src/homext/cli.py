@@ -223,7 +223,7 @@ def cmd_spectrum(args) -> int:
         else:
             k, n, he = parse_input(args.input, "uniform-hypergraph")
             T = adjacency_tensor(n, he, k=k)
-        rep = spectra.collatz_wielandt_max(T, spectra.diagonal_tensor(T.order, T.dim))
+        rep = spectra.collatz_wielandt_max(T)
         print(f"lambda_max = {fmt(rep.lam)}  certificate=[{fmt(rep.lo)}, {fmt(rep.hi)}]"
               f"  converged={rep.converged}")
         return 0 if rep.converged else 3
@@ -246,6 +246,9 @@ def cmd_spectrum(args) -> int:
                   "--mode quadratic or --mode ternary", file=sys.stderr)
             return 2
         p = args.p
+        if not p >= 1:               # no p-Laplacian pair below 1 (or at nan)
+            print(f"spectrum --mode dinkelbach needs --p >= 1, got {fmt(p)}", file=sys.stderr)
+            return 2
         pair = spectra.graph_plap_pair(g, p) if p > 1 else spectra.one_laplacian_pair(g)
         proj = spectra.projection_diag_power(g.degrees, p, np.ones(g.n))
         ep = spectra.dinkelbach_multistart(pair, proj, g.n, seed=args.seed,

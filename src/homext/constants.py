@@ -48,9 +48,8 @@ def _as_ratio(num, den):
 
 
 def _vol_of(degrees: np.ndarray):
-    """mask |-> vol(mask) over degrees read once: the same left-to-right
-    sum over mask_members as WeightedGraph.vol and ChemicalHypergraph.vol,
-    which recompute the degrees on every call."""
+    """mask |-> vol(mask), the left-to-right sum of the degrees over
+    mask_members, with the degrees read once."""
     d = degrees.tolist()
 
     def vol(mask: int) -> float:

@@ -72,9 +72,12 @@ def lovasz(f: SetTupleFunction, x: Sequence):
     terms = _block_terms(x)
     if not terms:                    # x = 0
         return _zero_of(x)
+    read = f.table.__getitem__ if f.table is not None else f.callback
+    if f.table is None:
+        f.check_masks(m for _, m in terms)
     total = 0
     for w, mask in terms:
-        total += w * f(mask)
+        total += w * read(mask)
     return total
 
 
@@ -91,10 +94,9 @@ def _memo_block_terms(*values):
 def multilinear(f: SetTupleFunction, xs: Sequence[Sequence]):
     """Piecewise multilinear extension at one coordinate tuple per block.
 
-    Block terms are memoized by coordinates and their types.  A dense
-    table is read directly at the concatenated mask index; callbacks are
-    called per tuple.
-    """
+    Block terms are memoized by coordinates and their types.  Tables are
+    read at the concatenated index, callbacks with masks checked once per
+    block term; the last block is streamed against each cell of the others."""
     if len(xs) != f.k:
         raise ValueError(f"expected {f.k} blocks, got {len(xs)}")
     n = f.n
@@ -109,6 +111,8 @@ def multilinear(f: SetTupleFunction, xs: Sequence[Sequence]):
     if probes > MULTILINEAR_PROBE_CAP:
         raise CapExceeded(f"multilinear would probe {probes} > {MULTILINEAR_PROBE_CAP} tuples")
     table = f.table
+    if table is None:
+        f.check_masks(m for terms in blocks for _, m in terms)
     if probes == 1:                  # at most one ordering cell per block
         w = 1
         idx = 0
@@ -120,29 +124,37 @@ def multilinear(f: SetTupleFunction, xs: Sequence[Sequence]):
             idx = (idx << n) | mask
         if w == 0:                   # float weights that underflowed
             return 0.0
-        if table is not None:
-            val = table[idx]
-        else:
-            val = f(*(terms[0][1] for terms in blocks))
+        val = table[idx] if table is not None else f.callback(*(t[0][1] for t in blocks))
         # an exact unit weight changes neither the value nor its type
         if type(w) is int and w == 1 and type(val) in _UNIT_INVARIANT:
             return val
         return w * val
     if not all(blocks):
         return _zero_of(xs[blocks.index(())])
+    *head, last = blocks
     total = 0
-    for combo in product(*blocks):
-        w = 1
-        idx = 0
-        for wi, mask in combo:
-            w = w * wi
-            idx = (idx << n) | mask
-        if w == 0:
-            continue
-        if table is not None:
-            total += w * table[idx]
-        else:
-            total += w * f(*(m for _, m in combo))
+    if table is not None:
+        for combo in product(*head):     # the cells of the first k - 1 blocks
+            w0 = 1
+            idx = 0
+            for wi, mask in combo:
+                w0 = w0 * wi
+                idx = (idx | mask) << n
+            for wi, mask in last:
+                w = w0 * wi
+                if w != 0:
+                    total += w * table[idx | mask]
+        return total
+    fn = f.callback
+    for combo in product(*head):
+        w0 = 1
+        for wi, _ in combo:
+            w0 = w0 * wi
+        masks = [m for _, m in combo]
+        for wi, mask in last:
+            w = w0 * wi
+            if w != 0:
+                total += w * fn(*masks, mask)
     return total
 
 
@@ -188,14 +200,19 @@ def multiple_integral(f: DisjointPairFunction, xs: Sequence[Sequence]):
         blocks.append(terms)
     if probes > MULTILINEAR_PROBE_CAP:
         raise CapExceeded(f"multiple_integral would probe {probes} cells")
+    f.check_pairs((p, m) for terms in blocks for _, p, m in terms)
+    fn = f.callback
+    *head, last = blocks
     total = 0
-    for combo in product(*blocks):
-        w = 1
+    for combo in product(*head):         # the cells of the first k - 1 blocks
+        w0 = 1
         for wi, _, _ in combo:
-            w = w * wi
-        if w == 0:
-            continue
-        total += w * f(*((p, m) for _, p, m in combo))
+            w0 = w0 * wi
+        pairs = [(p, m) for _, p, m in combo]
+        for wi, p, m in last:
+            w = w0 * wi
+            if w != 0:
+                total += w * fn(*pairs, (p, m))
     return total
 
 

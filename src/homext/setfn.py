@@ -97,6 +97,18 @@ class SetTupleFunction:
         only: it is the function's own storage."""
         return self._table
 
+    @property
+    def callback(self) -> Optional[Callable[..., object]]:
+        """The callable f(A_1, ..., A_k), or None; unlike __call__, unchecked."""
+        return self._fn
+
+    def check_masks(self, masks: Iterable[int]) -> None:
+        """Raise ValueError unless every mask is a subset of V."""
+        top = 1 << self.n
+        for m in masks:
+            if not 0 <= m < top:
+                raise ValueError(f"mask {m} out of range for n={self.n}")
+
     def _index(self, masks: Sequence[int]) -> int:
         idx = 0
         for m in masks:
@@ -104,20 +116,12 @@ class SetTupleFunction:
         return idx
 
     def __call__(self, *masks: int) -> object:
-        if len(masks) == 1 and isinstance(masks[0], (tuple, list)):
-            masks = tuple(masks[0])
         if len(masks) != self.k:
             raise ValueError(f"expected {self.k} masks, got {len(masks)}")
-        top = 1 << self.n
-        for m in masks:
-            if not 0 <= m < top:
-                raise ValueError(f"mask {m} out of range for n={self.n}")
+        self.check_masks(masks)
         if self._table is not None:
             return self._table[self._index(masks)]
         return self._fn(*masks)
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        return product(range(1 << self.n), repeat=self.k)
 
 
 class DisjointPairFunction:
@@ -130,27 +134,26 @@ class DisjointPairFunction:
         self.k = k
         self._fn = fn
 
-    def __call__(self, *pairs) -> object:
-        if len(pairs) == 1 and isinstance(pairs[0], (tuple, list)) and len(pairs[0]) == self.k:
-            pairs = tuple(pairs[0])
-        if len(pairs) != self.k:
-            raise ValueError(f"expected {self.k} disjoint pairs, got {len(pairs)}")
-        flat = []
+    @property
+    def callback(self) -> Callable[..., object]:
+        """The callable f((P_1, N_1), ...); unlike __call__, unchecked."""
+        return self._fn
+
+    def check_pairs(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Raise ValueError unless every pair is two disjoint subsets of V."""
         top = 1 << self.n
-        for pr in pairs:
-            p, m = pr
+        for p, m in pairs:
             if not (0 <= p < top and 0 <= m < top):
                 raise ValueError("pair mask out of range")
             if p & m:
                 raise ValueError("pair parts must be disjoint")
-            flat.append((p, m))
-        return self._fn(*flat)
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for p in range(1 << self.n):
-            rest = full_mask(self.n) & ~p
-            for m in submasks(rest):
-                yield (p, m)
+    def __call__(self, *pairs) -> object:
+        if len(pairs) != self.k:
+            raise ValueError(f"expected {self.k} disjoint pairs, got {len(pairs)}")
+        flat = [(p, m) for p, m in pairs]
+        self.check_pairs(flat)
+        return self._fn(*flat)
 
 
 def _lattice_violation(f: SetTupleFunction, component: int, bad) -> bool:

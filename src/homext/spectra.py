@@ -356,14 +356,6 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
                            data={"hypergraph": H})
 
 
-def diagonal_tensor(k: int, n: int) -> SymmetricTensor:
-    """The order-k identity tensor: 1 on every diagonal entry."""
-    T = SymmetricTensor(k, n)
-    for i in range(n):
-        T[(i,) * k] = 1.0
-    return T
-
-
 # ---------------------------------------------------------------------------
 # residual certification
 # ---------------------------------------------------------------------------
@@ -763,24 +755,18 @@ class CWReport:
 CW_MAX_ITERS = 20000
 
 
-def collatz_wielandt_max(C, D=None, tol: float = 1e-10) -> CWReport:
+def collatz_wielandt_max(C, tol: float = 1e-10) -> CWReport:
     """Largest eigenvalue of a nonnegative pair by shifted power iteration.
 
-    ``C`` is a nonnegative symmetric matrix or SymmetricTensor; ``D`` the
-    positive diagonal reference (identity weights by default).  The
-    iteration starts at the uniform vector and runs at most
-    ``CW_MAX_ITERS`` steps.  The certificate is the interval [min_i, max_i]
-    of (C x^{k-1})_i / (D x^{k-1})_i, whose collapse proves optimality.
+    ``C`` is a nonnegative symmetric matrix or SymmetricTensor, paired with
+    the identity (sum_i x_i^k).  The iteration starts at the uniform
+    vector and runs at most ``CW_MAX_ITERS`` steps.  The certificate is
+    the interval [min_i, max_i] of (C x^{k-1})_i / x_i^{k-1}, whose
+    collapse proves optimality.
     """
     if isinstance(C, SymmetricTensor):
         k = C.order
         n = C.dim
-        if D is None:
-            dvec = np.ones(n)
-        elif isinstance(D, SymmetricTensor):
-            dvec = np.array([D[(i,) * k] for i in range(n)], dtype=float)
-        else:
-            dvec = np.asarray(D, dtype=float)
         apply_C = C.apply
     else:
         Cm = np.asarray(C, dtype=float)
@@ -788,14 +774,7 @@ def collatz_wielandt_max(C, D=None, tol: float = 1e-10) -> CWReport:
             raise ValueError("matrix must be entrywise nonnegative")
         k = 2
         n = Cm.shape[0]
-        if D is None:
-            dvec = np.ones(n)
-        else:
-            Dm = np.asarray(D, dtype=float)
-            dvec = np.diag(Dm) if Dm.ndim == 2 else Dm
         apply_C = lambda x: Cm @ x
-    if np.any(dvec <= 0):
-        raise ValueError("D must be positive on the diagonal")
 
     x = np.full(n, 1.0)
     x = x / np.linalg.norm(x)
@@ -803,14 +782,14 @@ def collatz_wielandt_max(C, D=None, tol: float = 1e-10) -> CWReport:
     it = 0
     for it in range(1, CW_MAX_ITERS + 1):
         cx = apply_C(x)
-        dx = dvec * x ** (k - 1)
+        dx = x ** (k - 1)
         ratios = cx / dx
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= tol * max(1.0, abs(hi)):
             break
-        y = ((cx + dx) / dvec) ** (1.0 / (k - 1))
+        y = (cx + dx) ** (1.0 / (k - 1))
         x = y / np.linalg.norm(y)
-    lam = float((x @ apply_C(x)) / (x @ (dvec * x ** (k - 1))))
+    lam = float((x @ apply_C(x)) / (x @ x ** (k - 1)))
     return CWReport(lam, x, lo, hi, hi - lo <= tol * max(1.0, abs(hi)), it)
 
 

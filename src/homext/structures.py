@@ -95,10 +95,6 @@ class WeightedGraph:
                     total += self.W[i, j]
         return total
 
-    def vol(self, mask: int) -> float:
-        d = self.degrees
-        return float(sum(d[i] for i in mask_members(mask)))
-
     def edge_weight_between(self, a: int, b: int) -> float:
         """Total weight of edges with one end in mask a, the other in mask b;
         unordered edges counted once."""
@@ -179,14 +175,20 @@ class WeightedGraph:
         return SetTupleFunction(self.n, 1, f)
 
     def ordered_edge_count(self) -> SetTupleFunction:
-        """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B."""
+        """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B: a
+        Fraction for integral weights, else np.float64 (0.0 if A or B is empty)."""
         exact = np.allclose(self.W, np.round(self.W))
+        rows = self.W.tolist()
         def f(a, b):
+            js = mask_members(b)
             total = 0.0
             for i in mask_members(a):
-                for j in mask_members(b):
-                    total += self.W[i, j]
-            return Fraction(int(round(total))) if exact else total
+                row = rows[i]
+                for j in js:
+                    total += row[j]
+            if exact:
+                return Fraction(int(round(total)))
+            return np.float64(total) if a and b else total
         return SetTupleFunction(self.n, 2, f)
 
 
@@ -293,10 +295,6 @@ class ChemicalHypergraph:
             elif (e_out | mask) == mask and (e_in & mask) == 0:
                 cnt += 1
         return cnt
-
-    def vol(self, mask: int) -> float:
-        d = self.degrees
-        return float(sum(d[i] for i in mask_members(mask)))
 
     def underlying_graph(self) -> WeightedGraph:
         W = np.zeros((self.n, self.n))

@@ -1224,7 +1224,7 @@ def suite_cw(seed=42, instances=20) -> list[VerificationReport]:
         1e-8, t0))
     t0 = time.perf_counter()
     T = adjacency_tensor(3, [(0, 1, 2)])
-    rep = spectra.collatz_wielandt_max(T, spectra.diagonal_tensor(3, 3))
+    rep = spectra.collatz_wielandt_max(T)
     out.append(VerificationReport.make(
         "cw-tensor", "single 3-edge adjacency tensor has top H-eigenvalue 2 "
         "at the uniform vector", "one hyperedge", rep.lam, 2.0,

@@ -1,13 +1,15 @@
 """Test-side references for the carriers: the full multilinear form and
-the set function of a symmetric tensor, and the graph read as a chemical
-hypergraph whose edges carry both endpoints as inputs and as outputs."""
+the set function of a symmetric tensor, the graph read as a chemical
+hypergraph whose edges carry both endpoints as inputs and as outputs,
+the volume of a vertex set, and the ordered edge count as a double loop
+over the numpy entries."""
 
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from homext.setfn import SetTupleFunction, mask_of
+from homext.setfn import SetTupleFunction, mask_members, mask_of
 from homext.structures import ChemicalHypergraph
 
 
@@ -38,3 +40,21 @@ def as_set_function(T) -> SetTupleFunction:
 def chemical_from_graph(g) -> ChemicalHypergraph:
     edges = [(mask_of([i, j]), mask_of([i, j])) for i, j, _ in g.edges()]
     return ChemicalHypergraph(g.n, edges)
+
+
+def vol(carrier, mask) -> float:
+    """Sum of a graph's or chemical hypergraph's degrees over the mask."""
+    d = carrier.degrees
+    return float(sum(d[i] for i in mask_members(mask)))
+
+
+def ordered_edge_count_loop(g):
+    """f(A, B) summed over i in A, then j in B, reading g.W[i, j] each time."""
+    exact = np.allclose(g.W, np.round(g.W))
+    def f(a, b):
+        total = 0.0
+        for i in mask_members(a):
+            for j in mask_members(b):
+                total += g.W[i, j]
+        return Fraction(int(round(total))) if exact else total
+    return f

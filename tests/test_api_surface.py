@@ -29,19 +29,20 @@ def _public_definitions(tree):
 
 
 def _names_used(tree):
-    """(name, line) of every identifier, attribute, imported name and
-    identifier-like string constant in the tree."""
+    """(name, line, bare) of every identifier, attribute, imported name and
+    identifier-like string constant in the tree; ``bare`` marks a plain
+    identifier, which a method is not reached by."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.alias):
-            out.append((node.name.rsplit(".", 1)[-1], node.lineno))
+            out.append((node.name.rsplit(".", 1)[-1], node.lineno, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            out.append((node.value, node.lineno))
+            out.append((node.value, node.lineno, False))
     return out
 
 
@@ -49,13 +50,14 @@ def unreached_public_names():
     uses = {}
     for d in PROGRAM_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            for name, line in _names_used(ast.parse(path.read_text())):
-                uses.setdefault(name, []).append((path, line))
+            for name, line, bare in _names_used(ast.parse(path.read_text())):
+                uses.setdefault(name, []).append((path, line, bare))
     missing = []
     for path in sorted((ROOT / "src" / "homext").glob("*.py")):
         for qual, name, lo, hi in _public_definitions(ast.parse(path.read_text())):
-            if not any(p != path or not lo <= line <= hi
-                       for p, line in uses.get(name, ())):
+            method = "." in qual
+            if not any((p != path or not lo <= line <= hi) and not (method and bare)
+                       for p, line, bare in uses.get(name, ())):
                 missing.append(f"{path.stem}.{qual}")
     return missing
 

@@ -287,3 +287,13 @@ def test_cmd_spectrum_dinkelbach_rejects_signless(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "signless" in captured.err
+
+
+def test_cmd_spectrum_dinkelbach_rejects_p_below_one(tmp_path, capsys):
+    # the 1-Laplacian pair with a p-power G_Pi printed a meaningless value
+    path = write(tmp_path, "c4.graph", "4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n")
+    for p in ("0.5", "0", "-1", "nan"):
+        rc = main(["spectrum", "--mode", "dinkelbach", "--input", path, "--p", p])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", p
+        assert "--p >= 1" in captured.err, p

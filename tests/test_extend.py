@@ -17,6 +17,8 @@ from homext.setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
                           submasks)
 from homext.structures import WeightedGraph
 
+import reference_extend
+
 
 def rand_fraction(rng, lo=-4, hi=5):
     return Fraction(int(rng.integers(lo, hi)), int(rng.integers(1, 4)))
@@ -444,3 +446,72 @@ def test_level_decomposition_nested():
     assert masks[0] == full_mask(3)
     for a, b in zip(masks, masks[1:]):
         assert a & b == b
+
+
+# -- the block-by-block kernel against the per-cell reference ----------------
+
+def test_kernel_matches_per_cell_reference():
+    # dense tables and callbacks, int/Fraction/float blocks with ties, +-0.0
+    # and weights whose products underflow to zero; the callbacks are spies
+    # that check their masks and log every call, so the kernel must also
+    # call them in the reference's order
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coords = {
+        "int": st.integers(-3, 3),
+        "fraction": st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+        "float": st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, 1e-200, -1e-200]),
+                           st.floats(-4.0, 4.0, allow_nan=False)),
+    }
+    pools = {
+        "int": list(range(-3, 4)),
+        "fraction": [Fraction(v, 3) for v in range(-6, 7)],
+        "float": [0.0, -0.0, 0.5, -1.25, 2.0, 1e-200, 3.7, -0.1],
+    }
+    pools["mixed"] = pools["int"] + pools["fraction"] + pools["float"]
+
+    def exact(v):
+        return type(v), repr(v)
+
+    @hyp.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(sorted(coords)), st.sampled_from(sorted(pools)),
+               st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+    def check(kind, pool, n, k, seed, data):
+        xs = [data.draw(st.lists(coords[kind], min_size=n, max_size=n)) for _ in range(k)]
+        rng = np.random.default_rng(seed)
+        vals = [pools[pool][i] for i in rng.integers(0, len(pools[pool]), 1 << (n * k))]
+        log = []
+
+        def spy(*masks):
+            assert len(masks) == k and all(0 <= m < 1 << n for m in masks), masks
+            log.append(masks)
+            idx = 0
+            for m in masks:
+                idx = (idx << n) | m
+            return vals[idx]
+
+        def pair_spy(*prs):
+            assert len(prs) == k, prs
+            for p, m in prs:
+                assert 0 <= p < 1 << n and 0 <= m < 1 << n and not p & m, prs
+            log.append(prs)
+            return vals[sum((3 * p + 5 * m) << i for i, (p, m) in enumerate(prs)) % len(vals)]
+
+        dense, callback = SetTupleFunction(n, k, vals), SetTupleFunction(n, k, spy)
+        pairs = DisjointPairFunction(n, k, pair_spy)
+        runs = [(multilinear, reference_extend.multilinear, dense),
+                (multilinear, reference_extend.multilinear, callback),
+                (multiple_integral, reference_extend.multiple_integral, pairs)]
+        if k == 1:
+            runs += [(lovasz, reference_extend.lovasz, dense),
+                     (lovasz, reference_extend.lovasz, callback)]
+        for new, ref, f in runs:
+            arg = xs[0] if new is lovasz else xs
+            want = ref(f, arg)
+            ref_log = log[:]
+            log.clear()
+            assert exact(new(f, arg)) == exact(want), (new.__name__, xs)
+            assert log == ref_log, (new.__name__, xs)
+            log.clear()
+
+    check()

@@ -6,9 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from homext.setfn import (CapExceeded, SetTupleFunction, enumerate_chains,
-                          is_chain_tuple, mask_of, modularity_check, popcount,
-                          submodularity_check, supermodularity_check)
+from homext.setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
+                          enumerate_chains, is_chain_tuple, mask_of,
+                          modularity_check, popcount, submodularity_check,
+                          supermodularity_check)
 from homext.structures import WeightedGraph
 
 
@@ -33,11 +34,19 @@ def test_eval_tuple_cardinality():
 
 
 def test_eval_errors():
+    # a callback called directly still has its masks checked; the
+    # extension kernel skips __call__ and checks them once per block term
     f = SetTupleFunction(2, 2, lambda a, b: 0)
     with pytest.raises(ValueError):
         f(1)
-    with pytest.raises(ValueError):
-        f(1, 4)
+    for masks in ((1, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            f(*masks)
+    g = DisjointPairFunction(2, 1, lambda pr: 0)
+    with pytest.raises(ValueError, match="out of range"):
+        g((4, 0))
+    with pytest.raises(ValueError, match="disjoint"):
+        g((1, 1))
 
 
 def test_modularity_product_of_cardinalities():

@@ -11,8 +11,8 @@ import pytest
 from homext import spectra
 from homext.spectra import (CWReport, HomogeneousPair, SubgradientSet,
                             chemical_plap_pair, collatz_wielandt_max,
-                            diagonal_tensor, dinkelbach_multistart,
-                            dinkelbach_ratiodca, dual_inner_problem_check,
+                            dinkelbach_multistart, dinkelbach_ratiodca,
+                            dual_inner_problem_check,
                             duality_spectrum_check, eigen_residual,
                             g_pi_projection, graph_plap_pair,
                             incidence_vertex_edge_spectra, jacobi_eigh,
@@ -328,7 +328,7 @@ def test_cw_certificate_brackets_value():
 
 def test_cw_tensor_single_hyperedge():
     T = adjacency_tensor(3, [(0, 1, 2)])
-    rep = collatz_wielandt_max(T, diagonal_tensor(3, 3))
+    rep = collatz_wielandt_max(T)
     assert abs(rep.lam - 2.0) < 1e-8
     assert np.allclose(rep.x, rep.x[0])      # uniform maximizer
 

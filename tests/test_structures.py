@@ -12,7 +12,8 @@ from homext.structures import (ChemicalHypergraph, SignedGraph,
                                WeightedGraph, adjacency_tensor,
                                huang_signing, hypercube)
 
-from reference_structures import as_set_function, chemical_from_graph, full_form
+from reference_structures import (as_set_function, chemical_from_graph, full_form,
+                                  ordered_edge_count_loop, vol)
 
 
 def test_boundary_triangle_column():
@@ -182,7 +183,7 @@ def test_chemical_hypergraph_graph_boundary():
     H = chemical_from_graph(g)
     A = mask_of([0])
     assert H.boundary_edges(A) == 1
-    assert H.vol(A) == 1.0
+    assert vol(H, A) == 1.0
 
 
 def test_chemical_hypergraph_directed_edge():
@@ -216,3 +217,19 @@ def test_signed_up_graph_spectral_relation():
     D2 = np.diag(Gup.degrees)
     wb, _ = spectra.quadratic_pair_spectrum(D2 - Gup.W, D2)
     assert np.allclose(np.sort(wa), np.sort(2.0 - wb[::-1]), atol=1e-9)
+
+
+def test_ordered_edge_count_matches_the_double_loop():
+    # integral weights give Fractions; other weights the float sum, an
+    # np.float64 when A and B are nonempty and 0.0 when either is empty
+    rng = np.random.default_rng(5)
+    W = np.triu(rng.uniform(0.0, 2.0, size=(5, 5)) * (rng.random((5, 5)) < 0.7), 1)
+    graphs = [WeightedGraph.path(4), WeightedGraph.erdos_renyi(5, 0.6, rng),
+              WeightedGraph(2 * WeightedGraph.path(3).W), WeightedGraph(W + W.T),
+              WeightedGraph(0.5 * WeightedGraph.path(4).W)]
+    for g in graphs:
+        f, ref = g.ordered_edge_count(), ordered_edge_count_loop(g)
+        for a in range(1 << g.n):
+            for b in range(1 << g.n):
+                got, want = f(a, b), ref(a, b)
+                assert (type(got), repr(got)) == (type(want), repr(want)), (g.W, a, b)
