@@ -25,6 +25,7 @@ KWAY_CAP = 12
 MAXCUT_CAP = 24
 SIMPLICIAL_CAP = 14
 QUOTIENT_CAP = 200000
+SUBSET_CHUNK = 1 << 16
 MAXCUT_SAMPLES = 200
 ASCENT_STARTS = 16
 
@@ -61,31 +62,71 @@ def _vol_of(degrees: np.ndarray):
     return vol
 
 
+def subset_tables(n: int, hi: int, degrees, W, edges):
+    """Per-subset tables of the masks 1 .. hi - 1, one chunk of at most
+    ``SUBSET_CHUNK`` masks at a time.  With I the chunk's 0/1 indicator
+    rows, yields (masks, vol = I d, covol = (1 - I) d, internal =
+    rowsum((I W) o I), cut = rowsum((I W) o (1 - I)), boundary): boundary
+    counts the chemical ``edges`` (e_in, e_out) with e_in meeting the mask
+    and e_out leaving it, or e_out inside and e_in outside it, and W None
+    gives None tables.  Int64 inputs give exact integer tables."""
+    for lo in range(1, hi, SUBSET_CHUNK):
+        masks = np.arange(lo, min(lo + SUBSET_CHUNK, hi), dtype=np.int64)
+        I = (masks[:, None] >> np.arange(n)) & 1
+        internal = cut = None
+        if W is not None:
+            IW = I @ W
+            internal, cut = np.einsum("ij,ij->i", IW, I), np.einsum("ij,ij->i", IW, 1 - I)
+        boundary = np.zeros(masks.size, dtype=np.int64)
+        for e_in, e_out in edges:
+            boundary += (((masks & e_in) != 0) & ((~masks & e_out) != 0)) \
+                | (((masks & e_out) == e_out) & ((masks & e_in) == 0))
+        yield masks, I @ degrees, (1 - I) @ degrees, internal, cut, boundary
+
+
+def _near_least(chunks) -> list[tuple[int, object, object]]:
+    """(mask, num, den), in mask order, of every mask whose float ratio
+    num / den is within 1e-9 (relative) of the least, from chunks (masks,
+    num, den) of nonnegative tables; den == 0 is skipped."""
+    parts = []
+    for masks, num, den in chunks:
+        keep = den != 0
+        ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=keep)
+        near = keep & (ratio <= ratio.min(initial=np.inf) * (1 + 1e-9))
+        parts += zip(masks[near].tolist(), num[near], den[near], ratio[near])
+    least = min((r for *_, r in parts), default=np.inf)
+    return [(a, num, den) for a, num, den, r in parts if r <= least * (1 + 1e-9)]
+
+
 def cheeger(g: WeightedGraph) -> CheegerReport:
-    """h = min over proper nonempty A of cut(A) / min(vol A, vol A^c)."""
+    """h = min over proper nonempty A of cut(A) / min(vol A, vol A^c);
+    subset tables preselect, Fractions of exact integer tables decide, and
+    other weights go by ``cut_weight`` and the left-to-right volumes."""
     if g.n > CHEEGER_CAP:
         raise CapExceeded(f"cheeger enumeration capped at n <= {CHEEGER_CAP}")
     if not g.is_connected():
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
     integral = np.allclose(g.W, np.round(g.W))
-    vol = _vol_of(g.degrees)
-    best, arg = None, []
+    exact = np.array_equal(g.W, np.round(g.W)) and g.W.sum() < 2 ** 53
+    W = g.W.astype(np.int64) if exact else g.W
     total = full_mask(g.n)
-    count = 0
-    for a in range(1, total):
-        count += 1
-        cut = g.cut_weight(a)
-        den = min(vol(a), vol(total & ~a))
-        if integral:
-            val = _as_ratio(int(round(cut)), int(round(den)))
+    vol = _vol_of(g.degrees)
+    rnd = np.rint if integral else np.asarray     # as the decision rounds
+    best, arg = None, []
+    for a, cut, den in _near_least(
+            (masks, rnd(cut), rnd(np.minimum(v, cv))) for masks, v, cv, _, cut, _
+            in subset_tables(g.n, total, W.sum(axis=1), W, ())):
+        if exact:
+            val = Fraction(int(cut), int(den))
         else:
-            val = cut / den
+            cut, den = g.cut_weight(a), min(vol(a), vol(total & ~a))
+            val = _as_ratio(int(round(cut)), int(round(den))) if integral else cut / den
         if best is None or val < best:
             best, arg = val, [a]
         elif val == best and len(arg) < 8:
             arg.append(a)
-    return CheegerReport(best, arg, count, "cheeger")
+    return CheegerReport(best, arg, len(range(1, total)), "cheeger")
 
 
 def _disjoint_tuples(n: int, k: int):
@@ -368,18 +409,14 @@ def chemical_cheeger(H: ChemicalHypergraph) -> CheegerReport:
     if H.n > CHEEGER_CAP:
         raise CapExceeded(f"chemical cheeger capped at n <= {CHEEGER_CAP}")
     total = full_mask(H.n)
-    vol = _vol_of(H.degrees)
-    best, arg, count = None, [], 0
-    for a in range(1, total):
-        count += 1
-        num = H.boundary_edges(a)
-        den = min(vol(a), vol(total & ~a))
-        if den == 0:
-            continue
-        val = Fraction(num, int(round(den)))
+    best, arg = None, []
+    for a, num, den in _near_least(
+            (masks, boundary, np.minimum(v, cv)) for masks, v, cv, _, _, boundary
+            in subset_tables(H.n, total, H.degrees.astype(np.int64), None, H.edges)):
+        val = Fraction(int(num), int(den))
         if best is None or val < best:
             best, arg = val, [a]
-    return CheegerReport(best, arg, count, "chemical")
+    return CheegerReport(best, arg, len(range(1, total)), "chemical")
 
 
 # -- simplicial Cheeger constants ----------------------------------------------

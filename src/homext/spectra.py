@@ -5,7 +5,7 @@ Clarke subdifferential.  Subdifferentials are carried as finite data
 (center + segment directions + hull points), which turns the membership
 test into a small linear program.
 
-The module also holds the dense symmetric eigensolver (cyclic Jacobi),
+The module also holds the dense symmetric eigensolver (round-robin Jacobi),
 the Dinkelbach/RatioDCA iteration, the Collatz-Wielandt power iteration
 for nonnegative tensor pairs, ternary-vertex enumeration for piecewise
 linear pairs, and the norm-duality checks.
@@ -34,12 +34,26 @@ def _rng_for(seed: int, counter: int):
 
 
 # ---------------------------------------------------------------------------
-# dense symmetric eigensolver (cyclic Jacobi)
+# dense symmetric eigensolver (round-robin Jacobi)
 # ---------------------------------------------------------------------------
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sweep as rounds (P, Q) of disjoint pairs P < Q: the circle method,
+    with index n sitting out each round when n is odd (Brent & Luk)."""
+    m = n + n % 2
+    ring, rounds = np.arange(m), []
+    for _ in range(m - 1):
+        P, Q = np.sort([ring[:m // 2], ring[::-1][:m // 2]], axis=0)
+        rounds.append((P[Q < n], Q[Q < n]))
+        ring = np.concatenate([ring[:1], ring[-1:], ring[1:-1]])
+    return rounds
+
 
 def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix by cyclic Jacobi rotations."""
+    matrix by Jacobi rotations in round-robin order; a round's rotations
+    act on disjoint pairs, so each of its row, column and eigenvector
+    updates is one fancy-indexed batch."""
     A = np.array(S, dtype=float)
     n = A.shape[0]
     if n == 0:
@@ -49,27 +63,27 @@ def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
     A = 0.5 * (A + A.T)
     V = np.eye(n)
     scale = max(1.0, np.abs(A).max())
+    rounds = _round_robin(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2)
         if off <= JACOBI_SWEEP_TOL * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(A[p, q])
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0)) \
-                    if theta != 0 else 1.0
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # each right-hand side is built before either row is written
-                rp, rq = A[p], A[q]
-                A[p], A[q] = c * rp - s * rq, s * rp + c * rq
-                cp, cq = A[:, p], A[:, q]
-                A[:, p], A[:, q] = c * cp - s * cq, s * cp + c * cq
-                vp, vq = V[:, p], V[:, q]
-                V[:, p], V[:, q] = c * vp - s * vq, s * vp + c * vq
+        for P, Q in rounds:
+            keep = np.abs(A[P, Q]) > 1e-300
+            P, Q = P[keep], Q[keep]
+            with np.errstate(over="ignore"):    # theta * theta -> inf gives t = 0
+                theta = (A[Q, Q] - A[P, P]) / (2.0 * A[P, Q])
+                t = np.where(theta != 0, np.sign(theta)
+                             / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), 1.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cr, sr = c[:, None], s[:, None]
+            rp, rq = A[P], A[Q]
+            A[P], A[Q] = cr * rp - sr * rq, sr * rp + cr * rq
+            cp, cq = A[:, P], A[:, Q]
+            A[:, P], A[:, Q] = c * cp - s * cq, s * cp + c * cq
+            vp, vq = V[:, P], V[:, Q]
+            V[:, P], V[:, Q] = c * vp - s * vq, s * vp + c * vq
     w = np.diag(A).copy()
     order = np.argsort(w, kind="stable")
     return w[order], V[:, order]
@@ -666,14 +680,18 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
 
 def dinkelbach_multistart(pair, proj, n, seed=42, starts=DEFAULT_STARTS,
                           extra_starts=(), **kw) -> EigenPair:
-    """Best Dinkelbach run over seeded random starts (order-independent min)."""
+    """Best Dinkelbach run over seeded random starts (order-independent min);
+    only that run is certified, unless ``certify=False`` is passed on."""
+    certify = kw.pop("certify", True)
     best = None
     for c, x0 in enumerate(list(extra_starts) + [None] * starts):
         if x0 is None:
             x0 = _rng_for(seed, c).normal(size=n)
-        ep = dinkelbach_ratiodca(pair, proj, x0, **kw)
+        ep = dinkelbach_ratiodca(pair, proj, x0, certify=False, **kw)
         if np.isfinite(ep.lam) and (best is None or ep.lam < best.lam):
             best = ep
+    if certify and best is not None:
+        best.residual = eigen_residual(pair, best.lam, best.x)
     return best
 
 

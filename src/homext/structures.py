@@ -15,8 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .setfn import (SetTupleFunction, full_mask, mask_members, mask_of,
-                    popcount)
+from .setfn import SetTupleFunction, mask_members, mask_of, popcount
 
 
 class WeightedGraph:
@@ -156,10 +155,6 @@ class WeightedGraph:
                 side |= 1 << i
         return True, side
 
-    def subgraph(self, mask: int) -> "WeightedGraph":
-        idx = mask_members(mask)
-        return WeightedGraph(self.W[np.ix_(idx, idx)])
-
     def complement(self) -> "WeightedGraph":
         W = 1.0 - np.eye(self.n) - (self.W != 0)
         return WeightedGraph(np.maximum(W, 0))
@@ -283,18 +278,6 @@ class ChemicalHypergraph:
             for i in mask_members(e_out):
                 B[r, i] -= 1
         return B
-
-    def boundary_edges(self, mask: int) -> int:
-        """#{e : e_in meets A and e_out leaves A, or e_out inside A inside
-        the complement of e_in}."""
-        comp = full_mask(self.n) & ~mask
-        cnt = 0
-        for e_in, e_out in self.edges:
-            if (e_in & mask) and (e_out & comp):
-                cnt += 1
-            elif (e_out | mask) == mask and (e_in & mask) == 0:
-                cnt += 1
-        return cnt
 
     def underlying_graph(self) -> WeightedGraph:
         W = np.zeros((self.n, self.n))

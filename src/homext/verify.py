@@ -907,8 +907,9 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
         A = (g.W != 0).astype(float)
         w, _ = spectra.jacobi_eigh(A)
         lam = w[-1]
-        avg_deg = max(g.subgraph(a).W.sum() / popcount(a)
-                      for a in range(1, 1 << g.n))
+        avg_deg = max(np.max(internal / size) for _, size, _, internal, _, _
+                      in cst.subset_tables(g.n, 1 << g.n, np.ones(g.n, dtype=np.int64),
+                                           A.astype(np.int64), ()))
         max_deg = float(A.sum(axis=1).max())
         gap = _worst(avg_deg - lam, lam - max_deg)
         # comaximal side: sampled comaximal pairs never beat the discrete

@@ -1,8 +1,10 @@
-"""Test-side references for the spectral layer: the Jacobi loop that copied
-its rows and columns, the ternary enumeration that ran the residual LP on
+"""Test-side references for the spectral layer: the cyclic Jacobi loop that
+copied its rows and columns, the round-robin Jacobi schedule applied one
+rotation at a time, the ternary enumeration that ran the residual LP on
 every vector, the one-Laplacian's exact F and G in Fraction arithmetic,
 and a pair composed with a linear map."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -12,8 +14,8 @@ from homext import spectra
 
 
 def jacobi_eigh_with_copies(S):
-    """``spectra.jacobi_eigh`` with numpy scalars and six row/column copies
-    per rotation."""
+    """Cyclic Jacobi (pairs (p, q) in row order) with numpy scalars and six
+    row/column copies per rotation."""
     A = np.array(S, dtype=float)
     n = A.shape[0]
     if n == 0:
@@ -41,6 +43,60 @@ def jacobi_eigh_with_copies(S):
                 cp, cq = A[:, p].copy(), A[:, q].copy()
                 A[:, p] = c * cp - s * cq
                 A[:, q] = s * cp + c * cq
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+    w = np.diag(A).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
+def jacobi_eigh_one_rotation_at_a_time(S):
+    """``spectra.jacobi_eigh``'s round-robin schedule with Python floats,
+    one rotation at a time.  The rounds follow the circle method: index 0
+    stays, the others move one place per round, ring[i] meets ring[m-1-i],
+    and with n odd the extra index n marks the one that sits out.  Each
+    round takes its angles from the matrix at the round's start, then
+    rotates the row pairs one by one, then the column pairs, then the
+    eigenvector columns."""
+    A = np.array(S, dtype=float)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    A = 0.5 * (A + A.T)
+    V = np.eye(n)
+    scale = max(1.0, np.abs(A).max())
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        rounds.append([(min(ring[i], ring[m - 1 - i]), max(ring[i], ring[m - 1 - i]))
+                       for i in range(m // 2) if max(ring[i], ring[m - 1 - i]) < n])
+        ring = [ring[0], ring[-1]] + ring[1:-1]
+    for _ in range(spectra.JACOBI_MAX_SWEEPS):
+        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2)
+        if off <= spectra.JACOBI_SWEEP_TOL * scale:
+            break
+        for pairs in rounds:
+            rotations = []
+            for p, q in pairs:
+                apq = float(A[p, q])
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0)) \
+                    if theta != 0 else 1.0
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                rotations.append((p, q, c, t * c))
+            for p, q, c, s in rotations:
+                rp, rq = A[p].copy(), A[q].copy()
+                A[p] = c * rp - s * rq
+                A[q] = s * rp + c * rq
+            for p, q, c, s in rotations:
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+            for p, q, c, s in rotations:
                 vp, vq = V[:, p].copy(), V[:, q].copy()
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq

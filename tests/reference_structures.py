@@ -1,15 +1,15 @@
 """Test-side references for the carriers: the full multilinear form and
 the set function of a symmetric tensor, the graph read as a chemical
 hypergraph whose edges carry both endpoints as inputs and as outputs,
-the volume of a vertex set, and the ordered edge count as a double loop
-over the numpy entries."""
+its boundary-edge count, the volume of a vertex set, and the ordered
+edge count as a double loop over the numpy entries."""
 
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from homext.setfn import SetTupleFunction, mask_members, mask_of
+from homext.setfn import SetTupleFunction, full_mask, mask_members, mask_of
 from homext.structures import ChemicalHypergraph
 
 
@@ -40,6 +40,19 @@ def as_set_function(T) -> SetTupleFunction:
 def chemical_from_graph(g) -> ChemicalHypergraph:
     edges = [(mask_of([i, j]), mask_of([i, j])) for i, j, _ in g.edges()]
     return ChemicalHypergraph(g.n, edges)
+
+
+def boundary_edges(H, mask) -> int:
+    """#{e : e_in meets A and e_out leaves A, or e_out inside A inside
+    the complement of e_in}."""
+    comp = full_mask(H.n) & ~mask
+    cnt = 0
+    for e_in, e_out in H.edges:
+        if (e_in & mask) and (e_out & comp):
+            cnt += 1
+        elif (e_out | mask) == mask and (e_in & mask) == 0:
+            cnt += 1
+    return cnt
 
 
 def vol(carrier, mask) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from homext import cli
+from homext import cli, spectra, verify
 from homext.cli import ParseError, fmt, main, parse_input
 from homext.setfn import mask_members
 from homext.structures import SimplicialComplex, WeightedGraph
@@ -252,6 +252,31 @@ def test_cmd_spectrum_dinkelbach(tmp_path, capsys):
     rc = main(["spectrum", "--mode", "dinkelbach", "--input", path, "--p", "2"])
     out = capsys.readouterr().out
     assert rc == 0 and "lambda_2 estimate = 1" in out
+
+
+def test_dinkelbach_certifies_only_the_winning_start(tmp_path, capsys, monkeypatch):
+    # every start runs uncertified and the best one gets the one residual:
+    # second-eigen-dinkelbach's 8 starts ran 8 residuals, the CLI's 16
+    # starts 16 residual LPs at p = 1; the printed residual is the same
+    calls = {"eigen_residual": 0, "linprog": 0}
+
+    def count(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(spectra, name, wrapped)
+
+    count("eigen_residual", spectra.eigen_residual)
+    count("linprog", spectra.linprog)
+    reps = verify.suite_second_eigen(seed=42)
+    assert [r.verdict for r in reps] == ["pass"] * 3
+    assert calls == {"eigen_residual": 1, "linprog": 0}
+    calls.update(eigen_residual=0, linprog=0)
+    path = write(tmp_path, "w5.graph", "5\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 1 1\n1 3 1\n")
+    rc = main(["spectrum", "--mode", "dinkelbach", "--input", path, "--p", "1"])
+    assert rc == 0 and calls == {"eigen_residual": 1, "linprog": 1}
+    assert capsys.readouterr().out == ("lambda_2 estimate = 0.501398969258  "
+                                       "residual=1.49580309222  steps=21\n")
 
 
 def test_cmd_spectrum_tensor_cw(tmp_path, capsys):

@@ -213,6 +213,63 @@ def test_chemical_cheeger_disconnected_zero():
     assert cst.chemical_cheeger(H).value == 0
 
 
+def _fields(rep):
+    """Every CheegerReport field, the value by type and repr."""
+    return (type(rep.value), repr(rep.value), rep.optimal_sets, rep.enumerated,
+            rep.variant, rep.extra)
+
+
+@pytest.mark.parametrize("chunk", [7, cst.SUBSET_CHUNK])
+def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
+    # the subset tables only preselect; every value (type and repr), the
+    # first eight tied sets in mask order and the count must be the loops'.
+    # Chunks of 7 masks put chunk boundaries inside every enumeration.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from reference_constants import cheeger_loop, chemical_cheeger_loop
+    monkeypatch.setattr(cst, "SUBSET_CHUNK", chunk)
+    for n in range(1, 13):
+        graphs = [WeightedGraph.complete(n), WeightedGraph.path(n)]
+        if n >= 3:
+            graphs.append(WeightedGraph.cycle(n))
+        if n >= 2:
+            W = np.zeros((n, n))
+            W[0, 1:] = W[1:, 0] = 1.0
+            W[0, n - 1] = W[n - 1, 0] = 0.0      # vertex n-1 isolated
+            graphs.append(WeightedGraph(W))
+        for g in graphs:
+            assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
+
+    weights = {"integral": st.integers(0, 3).map(float),
+               "half-integral": st.integers(0, 6).map(lambda k: k / 2),
+               "float": st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+               "spread": st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
+               "near-integral": st.sampled_from([0.0, 1.0, 9999.91, 10000.09])}
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 10), st.sampled_from(sorted(weights)), st.data())
+    def check_graph(n, kind, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ws = data.draw(st.lists(weights[kind], min_size=len(pairs), max_size=len(pairs)))
+        W = np.zeros((n, n))
+        for (i, j), w in zip(pairs, ws):
+            W[i, j] = W[j, i] = w
+        g = WeightedGraph(W)
+        assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 9), st.data())
+    def check_chemical(n, data):
+        mask = st.integers(1, (1 << n) - 1)
+        edges = [e for e in data.draw(st.lists(st.tuples(mask, mask), max_size=2 * n))
+                 if bin(e[0] | e[1]).count("1") >= 2]
+        H = ChemicalHypergraph(n, edges)        # vertices in no edge have degree 0
+        assert _fields(cst.chemical_cheeger(H)) == _fields(chemical_cheeger_loop(H))
+
+    check_graph()
+    check_chemical()
+
+
 def test_simplicial_cheeger_balanced_zero():
     # path complex at d = 0: the anti-signed graph is an all-negative tree,
     # balanced, so h_1(S_0) = 0

@@ -728,14 +728,42 @@ def _jacobi_cases():
     yield tiny
     yield 1e-300 * np.array([[1.0, 2.0], [2.0, 5.0]])
     yield np.array([[1.0, 1e-200], [1e-200, 2.0]])        # theta * theta overflows
+    # the same two inside a sweep: the first round of n = 3 is the pair (1, 2)
+    yield np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1e-300], [0.0, 1e-300, 2.0]])   # skipped
+    yield np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-200], [0.0, 1e-200, 2.0]])   # overflows
 
 
-def test_jacobi_bitwise_equal_to_copying_loop():
+def test_jacobi_rounds_equal_one_rotation_at_a_time():
+    # a round's rotations act on disjoint pairs, so its batched row, column
+    # and eigenvector updates keep the bits of the same rotations applied
+    # one by one; the 1e-300 skip and theta * theta -> inf raise no warning
+    from reference_spectra import jacobi_eigh_one_rotation_at_a_time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for S in _jacobi_cases():
+            w, V = jacobi_eigh(S)
+            w_ref, V_ref = jacobi_eigh_one_rotation_at_a_time(S)
+            assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes(), S
+
+
+def test_jacobi_agrees_with_cyclic_order_and_lapack():
+    # the round-robin order changes only rounding: eigenvalues within
+    # 64 n eps of the matrix scale of the cyclic loop's and LAPACK's, and V
+    # orthonormal; each residual entry of S V - V diag(w) stays below what
+    # the sweep test leaves off the diagonal, JACOBI_SWEEP_TOL of the scale
     from reference_spectra import jacobi_eigh_with_copies
+    eps = np.finfo(float).eps
     for S in _jacobi_cases():
+        n = S.shape[0]
+        scale = max(1.0, np.abs(S).max())
+        tol = 64 * n * eps * scale
         w, V = jacobi_eigh(S)
-        w_ref, V_ref = jacobi_eigh_with_copies(S)
-        assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes(), S
+        with np.errstate(over="ignore"):    # its numpy scalars warn where theta * theta overflows
+            w_cyc, _ = jacobi_eigh_with_copies(S)
+        assert np.abs(w - w_cyc).max() <= tol, S
+        assert np.abs(w - np.linalg.eigvalsh(S)).max() <= tol, S
+        assert np.abs(V.T @ V - np.eye(n)).max() <= 64 * n * eps, S
+        assert np.abs(S @ V - V * w).max() <= tol + spectra.JACOBI_SWEEP_TOL * scale, S
 
 
 def _spectrum_fields(s):
