@@ -39,13 +39,9 @@ class CheegerReport:
     extra: dict = field(default_factory=dict)
 
 
-def _as_ratio(num, den):
-    if den == 0:
-        return Fraction(0) if num == 0 else np.inf
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) \
-            else Fraction(num) / Fraction(den)
-    return num / den
+def _as_ratio(num: int, den: int):
+    """num / den as a Fraction; 0 / 0 is 0 and a positive num / 0 is inf."""
+    return Fraction(num, den) if den else Fraction(0) if num == 0 else np.inf
 
 
 def _vol_of(degrees: np.ndarray):
@@ -62,40 +58,30 @@ def _vol_of(degrees: np.ndarray):
     return vol
 
 
-def subset_tables(n: int, hi: int, degrees, W, edges):
-    """Per-subset tables of the masks 1 .. hi - 1, one chunk of at most
-    ``SUBSET_CHUNK`` masks at a time.  With I the chunk's 0/1 indicator
-    rows, yields (masks, vol = I d, covol = (1 - I) d, internal =
-    rowsum((I W) o I), cut = rowsum((I W) o (1 - I)), boundary): boundary
-    counts the chemical ``edges`` (e_in, e_out) with e_in meeting the mask
-    and e_out leaving it, or e_out inside and e_in outside it, and W None
-    gives None tables.  Int64 inputs give exact integer tables."""
+def subset_rows(n: int, hi: int):
+    """(masks, I) for the masks 1 .. hi - 1, one chunk of at most
+    ``SUBSET_CHUNK`` masks at a time, I their 0/1 int64 indicator rows: a
+    table such as vol = I d is exact for int64 d."""
     for lo in range(1, hi, SUBSET_CHUNK):
         masks = np.arange(lo, min(lo + SUBSET_CHUNK, hi), dtype=np.int64)
-        I = (masks[:, None] >> np.arange(n)) & 1
-        internal = cut = None
-        if W is not None:
-            IW = I @ W
-            internal, cut = np.einsum("ij,ij->i", IW, I), np.einsum("ij,ij->i", IW, 1 - I)
-        boundary = np.zeros(masks.size, dtype=np.int64)
-        for e_in, e_out in edges:
-            boundary += (((masks & e_in) != 0) & ((~masks & e_out) != 0)) \
-                | (((masks & e_out) == e_out) & ((masks & e_in) == 0))
-        yield masks, I @ degrees, (1 - I) @ degrees, internal, cut, boundary
+        yield masks, (masks[:, None] >> np.arange(n)) & 1
 
 
-def _near_least(chunks) -> list[tuple[int, object, object]]:
-    """(mask, num, den), in mask order, of every mask whose float ratio
-    num / den is within 1e-9 (relative) of the least, from chunks (masks,
-    num, den) of nonnegative tables; den == 0 is skipped."""
-    parts = []
+def _near_least(chunks, slack) -> list[tuple[int, object, object]]:
+    """(mask, num, den), in mask order, of every mask whose ratio may be
+    least, from chunks (masks, num, den) of nonnegative tables (den > 0 at
+    slack 0): a mask is kept when its least ratio max(num - slack, 0) /
+    (den + slack) is within 1e-9 (relative) of the least greatest ratio
+    (num + slack) / (den - slack), which is inf for den <= slack."""
+    parts, least = [], np.inf
     for masks, num, den in chunks:
-        keep = den != 0
-        ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=keep)
-        near = keep & (ratio <= ratio.min(initial=np.inf) * (1 + 1e-9))
-        parts += zip(masks[near].tolist(), num[near], den[near], ratio[near])
-    least = min((r for *_, r in parts), default=np.inf)
-    return [(a, num, den) for a, num, den, r in parts if r <= least * (1 + 1e-9)]
+        lo = np.maximum(num - slack, 0) / (den + slack)
+        hi = np.divide(num + slack, den - slack, out=np.full(lo.shape, np.inf),
+                       where=den > slack)
+        least = min(least, hi.min(initial=np.inf))
+        near = lo <= least * (1 + 1e-9)
+        parts += zip(masks[near].tolist(), num[near], den[near], lo[near])
+    return [(a, num, den) for a, num, den, lo in parts if lo <= least * (1 + 1e-9)]
 
 
 def cheeger(g: WeightedGraph) -> CheegerReport:
@@ -110,13 +96,15 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
     integral = np.allclose(g.W, np.round(g.W))
     exact = np.array_equal(g.W, np.round(g.W)) and g.W.sum() < 2 ** 53
     W = g.W.astype(np.int64) if exact else g.W
-    total = full_mask(g.n)
-    vol = _vol_of(g.degrees)
-    rnd = np.rint if integral else np.asarray     # as the decision rounds
+    d, total, vol = W.sum(axis=1), full_mask(g.n), _vol_of(g.degrees)
+    # rounded table sums and the decision's rounded sums differ by at most
+    # 1 plus the two summation errors
+    slack = 1 + g.n ** 2 * np.finfo(float).eps * g.W.sum() if integral and not exact else 0
+    rnd = np.rint if slack else np.asarray
+    tables = ((masks, rnd(np.einsum("ij,ij->i", I @ W, 1 - I)),
+               rnd(np.minimum(I @ d, (1 - I) @ d))) for masks, I in subset_rows(g.n, total))
     best, arg = None, []
-    for a, cut, den in _near_least(
-            (masks, rnd(cut), rnd(np.minimum(v, cv))) for masks, v, cv, _, cut, _
-            in subset_tables(g.n, total, W.sum(axis=1), W, ())):
+    for a, cut, den in _near_least(tables, slack):
         if exact:
             val = Fraction(int(cut), int(den))
         else:
@@ -408,11 +396,20 @@ def chemical_cheeger(H: ChemicalHypergraph) -> CheegerReport:
     """min over proper nonempty A of #boundary(A) / min(vol A, vol A^c)."""
     if H.n > CHEEGER_CAP:
         raise CapExceeded(f"chemical cheeger capped at n <= {CHEEGER_CAP}")
-    total = full_mask(H.n)
+    total, d = full_mask(H.n), H.degrees.astype(np.int64)
+
+    def chunks():
+        for masks, I in subset_rows(H.n, total):
+            # boundary: e_in meets A and e_out leaves it, or e_out is inside and e_in outside
+            num = np.zeros(masks.size, dtype=np.int64)
+            for e_in, e_out in H.edges:
+                num += (((masks & e_in) != 0) & ((~masks & e_out) != 0)) \
+                    | (((masks & e_out) == e_out) & ((masks & e_in) == 0))
+            den = np.minimum(I @ d, (1 - I) @ d)
+            yield masks[den != 0], num[den != 0], den[den != 0]
+
     best, arg = None, []
-    for a, num, den in _near_least(
-            (masks, boundary, np.minimum(v, cv)) for masks, v, cv, _, _, boundary
-            in subset_tables(H.n, total, H.degrees.astype(np.int64), None, H.edges)):
+    for a, num, den in _near_least(chunks(), 0):
         val = Fraction(int(num), int(den))
         if best is None or val < best:
             best, arg = val, [a]

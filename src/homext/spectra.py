@@ -610,15 +610,14 @@ def _inner_descent(obj, grad, z0, iters=200):
 
 
 def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
-                        max_outer: int = 60, inner_iters: int = 200,
-                        certify: bool = True) -> EigenPair:
+                        max_outer: int = 60, inner_iters: int = 200) -> EigenPair:
     """Minimize F(x) / G_Pi(x) by the Dinkelbach-type scheme.
 
     Each step linearizes G at the current point, solves the inner convex
     problem on the unit ball (exactly for quadratic forms, by projected
     subgradient descent otherwise) and re-projects along Pi.  A candidate
     is accepted only if the ratio decreases, so the ratio sequence is
-    monotone non-increasing; for nonconvex F the result is a certified
+    monotone non-increasing; for nonconvex F the result is a
     local estimate, never claimed global.  A start without a finite ratio
     (x0 in Pi, so G_Pi(x0) = 0) returns at once, not converged.
 
@@ -674,20 +673,18 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
         if abs(history[-2] - r) < 1e-10 * max(1.0, abs(r)):
             converged = True
             break
-    res = eigen_residual(pair, r, x) if certify else None
-    return EigenPair(lam=r, x=x, residual=res, history=history, converged=converged)
+    return EigenPair(lam=r, x=x, history=history, converged=converged)
 
 
 def dinkelbach_multistart(pair, proj, n, seed=42, starts=DEFAULT_STARTS,
-                          extra_starts=(), **kw) -> EigenPair:
+                          extra_starts=(), certify=True, **kw) -> EigenPair:
     """Best Dinkelbach run over seeded random starts (order-independent min);
-    only that run is certified, unless ``certify=False`` is passed on."""
-    certify = kw.pop("certify", True)
+    with ``certify``, only that run gets an ``eigen_residual``."""
     best = None
     for c, x0 in enumerate(list(extra_starts) + [None] * starts):
         if x0 is None:
             x0 = _rng_for(seed, c).normal(size=n)
-        ep = dinkelbach_ratiodca(pair, proj, x0, certify=False, **kw)
+        ep = dinkelbach_ratiodca(pair, proj, x0, **kw)
         if np.isfinite(ep.lam) and (best is None or ep.lam < best.lam):
             best = ep
     if certify and best is not None:

@@ -239,14 +239,31 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
             graphs.append(WeightedGraph(W))
         for g in graphs:
             assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
+    # weights below allclose's atol count as integral and round to 0: a
+    # rounded volume of 0 gives the value 0 (cut 0) or inf, never a skip.
+    # On the multiples of 10000.1 the tables' sums and the left-to-right
+    # sums round apart (250002 and 250003), which moved the least ratio
+    # when the preselection took the tables' rounded ratio as exact
+    K = np.array([[0, 1, 7, 3, 0, 4], [1, 0, 4, 7, 1, 2], [7, 4, 0, 2, 7, 0],
+                  [3, 7, 2, 0, 3, 3], [0, 1, 7, 3, 0, 7], [4, 2, 0, 3, 7, 0]])
+    for W in ([[0, 1, 0], [1, 0, 1e-9], [0, 1e-9, 0]], 1e-9 * (1 - np.eye(3)),
+              [[0, 1e-9, 0, 0], [1e-9, 0, 0.6, 0], [0, 0.6, 0, 1e-9], [0, 0, 1e-9, 0]],
+              10000.1 * K):
+        g = WeightedGraph(W)
+        assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
 
+    # near-integral: allclose to integers, and sums of five 10000.1 sit at
+    # x.5, where table and left-to-right sums may round apart; huge: sums
+    # past 2^53 are no longer exact
     weights = {"integral": st.integers(0, 3).map(float),
                "half-integral": st.integers(0, 6).map(lambda k: k / 2),
                "float": st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
                "spread": st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
-               "near-integral": st.sampled_from([0.0, 1.0, 9999.91, 10000.09])}
+               "tiny": st.sampled_from([0.0, 1e-9, 3e-9, 1.0]),
+               "near-integral": st.sampled_from([0.0, 1.0, 9999.91, 10000.09, 10000.1]),
+               "huge": st.sampled_from([0.0, 1.0, 3.0, 2.0 ** 53])}
 
-    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(st.integers(1, 10), st.sampled_from(sorted(weights)), st.data())
     def check_graph(n, kind, data):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

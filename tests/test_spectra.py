@@ -703,7 +703,7 @@ def test_dinkelbach_values_are_python_floats():
              (graph_plap_pair(g, 3.0), projection_diag_power(g.degrees, 3.0, np.ones(4)))]
     for pair, proj in cases:
         for x0 in (np.array([0.3, -1.0, 2.0, 0.1]), np.array([1.0, 0.0, 0.0, 0.0])):
-            ep = dinkelbach_ratiodca(pair, proj, x0, inner_iters=30, certify=False)
+            ep = dinkelbach_ratiodca(pair, proj, x0, inner_iters=30)
             assert type(ep.lam) is float
             assert ep.history and all(type(h) is float for h in ep.history)
 
