@@ -41,7 +41,9 @@ class CheegerReport:
 
 def _as_ratio(num: int, den: int):
     """num / den as a Fraction; 0 / 0 is 0 and a positive num / 0 is inf."""
-    return Fraction(num, den) if den else Fraction(0) if num == 0 else np.inf
+    if den == 0:
+        return Fraction(0) if num == 0 else np.inf
+    return Fraction(num, den)
 
 
 def _vol_of(degrees: np.ndarray):
