@@ -95,12 +95,12 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
     if not g.is_connected():
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
-    integral = np.allclose(g.W, np.round(g.W))
-    exact = np.array_equal(g.W, np.round(g.W)) and g.W.sum() < 2 ** 53
+    integral = np.array_equal(g.W, np.round(g.W))
+    exact = integral and g.W.sum() < 2 ** 53
     W = g.W.astype(np.int64) if exact else g.W
     d, total, vol = W.sum(axis=1), full_mask(g.n), _vol_of(g.degrees)
-    # rounded table sums and the decision's rounded sums differ by at most
-    # 1 plus the two summation errors
+    # integral weights past 2^53: rounded table sums and the decision's
+    # rounded sums differ by at most 1 plus the two summation errors
     slack = 1 + g.n ** 2 * np.finfo(float).eps * g.W.sum() if integral and not exact else 0
     rnd = np.rint if slack else np.asarray
     tables = ((masks, rnd(np.einsum("ij,ij->i", I @ W, 1 - I)),
@@ -144,7 +144,7 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
     if k > g.n:
         raise ValueError("k exceeds the vertex count")
-    integral = np.allclose(g.W, np.round(g.W))
+    integral = np.array_equal(g.W, np.round(g.W))
     vol = _vol_of(g.degrees)
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, k):
@@ -165,7 +165,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
     min_i 2 E(V_{2i-1}, V_{2i}) / vol(V_{2i-1} | V_{2i})."""
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
-    integral = np.allclose(g.W, np.round(g.W))
+    integral = np.array_equal(g.W, np.round(g.W))
     vol = _vol_of(g.degrees)
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, 2 * k):

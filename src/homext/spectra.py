@@ -168,7 +168,9 @@ class EigenPair:
 class HomogeneousPair:
     """Two p-homogeneous locally Lipschitz functions with subgradient
     oracles.  ``tag`` records the structure class so solvers can pick
-    exact routes."""
+    exact routes.  ``F_grad(x)`` gives (F(x), one subgradient of F at x)
+    in one call, for the Dinkelbach inner descent; unset, the descent
+    takes (F(x), F_subgrad(x).any_point())."""
 
     p: float
     F: Callable[[np.ndarray], float]
@@ -179,6 +181,7 @@ class HomogeneousPair:
     data: dict = field(default_factory=dict)
     exact_F: Optional[Callable] = None
     exact_G: Optional[Callable] = None
+    F_grad: Optional[Callable] = None
 
     def ratio(self, x) -> float:
         return self.F(x) / self.G(x)
@@ -311,37 +314,36 @@ def graph_plap_pair(graph: WeightedGraph, p: float) -> HomogeneousPair:
 
 def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
     """Extension-built p-Laplacian pair of a chemical hypergraph:
-    F(x) = sum_e |max_{e_in} x - min_{e_out} x|^p, G(x) = sum deg_i |x_i|^p."""
+    F(x) = sum_e |max_{e_in} x - min_{e_out} x|^p, G(x) = sum deg_i |x_i|^p.
+
+    F_grad makes one left-to-right pass over the edges (the sum never
+    compensated, the lowest index winning a tie) and gives F and a
+    subgradient as a list; F and F_sub are its two halves, and no point's
+    terms are kept between calls."""
     from .setfn import mask_members
     deg = H.degrees
-    ins = [mask_members(e_in) for e_in, _ in H.edges]
-    outs = [mask_members(e_out) for _, e_out in H.edges]
-    last = [None, None]                 # bytes of the last point, its terms
+    # a one-member side is a bare index: no max or min call for it
+    sides = [tuple(I[0] if len(I) == 1 else I for I in map(mask_members, e))
+             for e in H.edges]
+    q = p - 1
 
-    def edge_terms(x):
-        """(argmax over e_in, argmin over e_out, difference) per edge, the
-        lowest index winning a tie.  The inner descent asks F and F_sub at
-        the same iterate, so the last point's terms are kept, keyed on its
-        exact bytes (+0.0 and -0.0 never share an entry)."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if last[0] == key:
-            return last[1]
-        xl = x.tolist()
+    def F_grad(x):
+        xl = np.asarray(x, dtype=float).tolist()
         at = xl.__getitem__
-        out = []
-        for I, O in zip(ins, outs):
-            imax = max(I, key=at)       # members ascend: first max is lowest
-            jmin = min(O, key=at)
-            out.append((imax, jmin, xl[imax] - xl[jmin]))
-        last[:] = key, out
-        return out
-
-    def F(x):
-        total = 0.0                     # left to right, never compensated
-        for _, _, t in edge_terms(x):
-            total += abs(t) ** p
-        return total
+        total, g = 0.0, [0.0] * H.n
+        for I, O in sides:              # members ascend: a tie keeps the lowest
+            i = I if I.__class__ is int else max(I, key=at)
+            j = O if O.__class__ is int else min(O, key=at)
+            t = xl[i] - xl[j]
+            a = abs(t)
+            total += a ** p
+            if t == 0:
+                continue                # c would be +-0.0 for every p
+            sign = 1.0 if t > 0 else -1.0
+            c = p * (a ** q * sign) if p > 1 else sign
+            g[i] += c
+            g[j] -= c
+        return total, g
 
     def G(x):
         return float(sum(deg[i] * abs(x[i]) ** p for i in range(H.n)))
@@ -349,25 +351,15 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
     def phi(t):
         return abs(t) ** (p - 1) * np.sign(t)
 
-    def F_sub(x):
-        g = [0.0] * H.n
-        for imax, jmin, t in edge_terms(x):
-            if t == 0:
-                continue                # c would be +-0.0 for every p
-            sign = 1.0 if t > 0 else -1.0
-            c = p * (abs(t) ** (p - 1) * sign) if p > 1 else sign
-            g[imax] += c
-            g[jmin] -= c
-        return SubgradientSet(g)
-
     def G_sub(x):
         if p > 1:
             return SubgradientSet(p * deg * phi(np.asarray(x, dtype=float)))
         center, segs = _abs_subgrad_terms(x, deg)
         return SubgradientSet(center, segs)
 
-    return HomogeneousPair(p, F, G, F_sub, G_sub, tag="power-form",
-                           data={"hypergraph": H})
+    return HomogeneousPair(p, lambda x: F_grad(x)[0], G,
+                           lambda x: SubgradientSet(F_grad(x)[1]), G_sub,
+                           tag="power-form", data={"hypergraph": H}, F_grad=F_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -591,21 +583,24 @@ def _inner_quadratic(M, w):
     return np.linalg.solve(2.0 * M + hi * np.eye(n), w)
 
 
-def _inner_descent(obj, grad, z0, iters=200):
-    """Projected subgradient descent on the unit ball, step eta_t =
-    s0 / sqrt(t+1) with s0 from the first subgradient; keeps the best."""
-    z = z0.copy()
-    best, bz = obj(z), z.copy()
-    s0 = 1.0 / max(1.0, np.linalg.norm(grad(z)))
+def _inner_descent(fg, w, z0, iters=200):
+    """Projected subgradient descent of F(z) - w.z on the unit ball, with
+    (F(z), a subgradient of F) from one ``fg`` call per iterate; step
+    eta_t = s0 / sqrt(t+1) with s0 from the first subgradient; keeps the
+    best.  Iterates are new arrays, never changed in place."""
+    f, g = fg(z0)
+    best, bz, g = f - w @ z0, z0, g - w
+    s0 = 1.0 / max(1.0, math.sqrt(g.dot(g)))   # np.linalg.norm's bits
+    z = z0
     for t in range(iters):
-        g = grad(z)
-        z = z - (s0 / np.sqrt(t + 1.0)) * g
-        nz = np.linalg.norm(z)
+        z = z - (s0 / math.sqrt(t + 1.0)) * g
+        nz = math.sqrt(z.dot(z))
         if nz > 1.0:
             z = z / nz
-        v = obj(z)
+        f, g = fg(z)
+        v, g = f - w @ z, g - w
         if v < best:
-            best, bz = v, z.copy()
+            best, bz = v, z
     return bz
 
 
@@ -640,6 +635,7 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
     if not np.isfinite(r):
         return EigenPair(lam=r, x=x, history=history, converged=False)
     quad = pair.tag == "quadratic-form"
+    fg = pair.F_grad or (lambda y: (pair.F(y), pair.F_subgrad(y).any_point()))
     converged = False
     for _ in range(max_outer):
         v = pair.G_subgrad(x).center.copy()
@@ -651,9 +647,7 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
         if quad:
             z = _inner_quadratic(pair.data["A"], w)
         else:
-            z = _inner_descent(lambda y: pair.F(y) - w @ y,
-                               lambda y: pair.F_subgrad(y).any_point() - w,
-                               x, iters=inner_iters)
+            z = _inner_descent(fg, w, x, iters=inner_iters)
         cand, rc = project_out(z) if np.any(z) else (x, r)
         if not np.isfinite(rc) or rc > r - 1e-16:
             improved = False

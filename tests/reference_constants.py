@@ -18,7 +18,7 @@ def cheeger_loop(g) -> CheegerReport:
     if not g.is_connected():
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
-    integral = np.allclose(g.W, np.round(g.W))
+    integral = np.array_equal(g.W, np.round(g.W))
     vol = _vol_of(g.degrees)
     best, arg = None, []
     total = full_mask(g.n)

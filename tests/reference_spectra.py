@@ -2,8 +2,11 @@
 copied its rows and columns, the round-robin Jacobi schedule applied one
 rotation at a time, the ternary enumeration that ran the residual LP on
 every vector, the one-Laplacian's exact F and G in Fraction arithmetic,
-and a pair composed with a linear map."""
+a pair composed with a linear map, and the Dinkelbach inner descent with
+F and its subgradient as two callbacks (the chemical pair's over
+memoized edge terms)."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -172,3 +175,86 @@ def compose_odd_linear(pair, M):
         pair.p, lambda x: pair.F(M @ x), lambda x: pair.G(M @ x),
         lambda x: image(pair.F_subgrad(M @ x)),
         lambda x: image(pair.G_subgrad(M @ x)), tag="composite")
+
+
+def chemical_pair_with_edge_terms(H, p):
+    """``spectra.chemical_plap_pair`` with F and F_sub as two callbacks
+    over per-edge terms (argmax over e_in, argmin over e_out, difference),
+    the last point's terms kept and keyed on its exact bytes; G and G_sub
+    are the pair's own.  F_grad is unset, so the descent takes F and
+    F_sub's ``any_point``."""
+    from homext.setfn import mask_members
+    ins = [mask_members(e_in) for e_in, _ in H.edges]
+    outs = [mask_members(e_out) for _, e_out in H.edges]
+    last = [None, None]
+
+    def edge_terms(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if last[0] == key:
+            return last[1]
+        xl = x.tolist()
+        at = xl.__getitem__
+        out = []
+        for I, O in zip(ins, outs):
+            imax = max(I, key=at)       # members ascend: first max is lowest
+            jmin = min(O, key=at)
+            out.append((imax, jmin, xl[imax] - xl[jmin]))
+        last[:] = key, out
+        return out
+
+    def F(x):
+        total = 0.0
+        for _, _, t in edge_terms(x):
+            total += abs(t) ** p
+        return total
+
+    def F_sub(x):
+        g = [0.0] * H.n
+        for imax, jmin, t in edge_terms(x):
+            if t == 0:
+                continue
+            sign = 1.0 if t > 0 else -1.0
+            c = p * (abs(t) ** (p - 1) * sign) if p > 1 else sign
+            g[imax] += c
+            g[jmin] -= c
+        return spectra.SubgradientSet(g)
+
+    pair = spectra.chemical_plap_pair(H, p)
+    return dataclasses.replace(pair, F=F, F_subgrad=F_sub, F_grad=None)
+
+
+def inner_descent_two_callbacks(obj, grad, z0, iters=200):
+    """The projected subgradient descent with the objective and the
+    subgradient as two callbacks, ``np.linalg.norm`` and a copy of every
+    improving iterate."""
+    z = z0.copy()
+    best, bz = obj(z), z.copy()
+    s0 = 1.0 / max(1.0, np.linalg.norm(grad(z)))
+    for t in range(iters):
+        g = grad(z)
+        z = z - (s0 / np.sqrt(t + 1.0)) * g
+        nz = np.linalg.norm(z)
+        if nz > 1.0:
+            z = z / nz
+        v = obj(z)
+        if v < best:
+            best, bz = v, z.copy()
+    return bz
+
+
+def dinkelbach_two_callbacks(pair, proj, x0, **kw):
+    """``spectra.dinkelbach_ratiodca`` whose inner descent asks pair.F
+    and pair.F_subgrad(y).any_point() apart, through
+    ``inner_descent_two_callbacks``."""
+    def descent(fg, w, z0, iters):
+        return inner_descent_two_callbacks(lambda y: pair.F(y) - w @ y,
+                                           lambda y: pair.F_subgrad(y).any_point() - w,
+                                           z0, iters)
+
+    saved = spectra._inner_descent
+    spectra._inner_descent = descent
+    try:
+        return spectra.dinkelbach_ratiodca(pair, proj, x0, **kw)
+    finally:
+        spectra._inner_descent = saved

@@ -239,11 +239,8 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
             graphs.append(WeightedGraph(W))
         for g in graphs:
             assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
-    # weights below allclose's atol count as integral and round to 0: a
-    # rounded volume of 0 gives the value 0 (cut 0) or inf, never a skip.
-    # On the multiples of 10000.1 the tables' sums and the left-to-right
-    # sums round apart (250002 and 250003), which moved the least ratio
-    # when the preselection took the tables' rounded ratio as exact
+    # tiny weights (1e-9) and multiples of 10000.1 are not integral: the
+    # tables preselect and the left-to-right float sums decide
     K = np.array([[0, 1, 7, 3, 0, 4], [1, 0, 4, 7, 1, 2], [7, 4, 0, 2, 7, 0],
                   [3, 7, 2, 0, 3, 3], [0, 1, 7, 3, 0, 7], [4, 2, 0, 3, 7, 0]])
     for W in ([[0, 1, 0], [1, 0, 1e-9], [0, 1e-9, 0]], 1e-9 * (1 - np.eye(3)),
@@ -252,9 +249,9 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
         g = WeightedGraph(W)
         assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
 
-    # near-integral: allclose to integers, and sums of five 10000.1 sit at
-    # x.5, where table and left-to-right sums may round apart; huge: sums
-    # past 2^53 are no longer exact
+    # near-integral: allclose to integers but not integral; huge: integral,
+    # and sums past 2^53 are no longer exact, so table and left-to-right
+    # sums may round apart
     weights = {"integral": st.integers(0, 3).map(float),
                "half-integral": st.integers(0, 6).map(lambda k: k / 2),
                "float": st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
@@ -285,6 +282,43 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
 
     check_graph()
     check_chemical()
+
+
+def test_near_integral_weights_give_cut_over_vol():
+    # 10000.09 is allclose to 10000 but not an integer: every value is the
+    # float cut / vol, not a ratio of rounded sums (a cut of 60000.54 once
+    # read 60001)
+    from itertools import product
+    from math import fsum
+    W = np.array([[0, 10000.09, 10000.09, 30000.27],
+                  [10000.09, 0, 20000.18, 0],
+                  [10000.09, 20000.18, 0, 10000.09],
+                  [30000.27, 0, 10000.09, 0]])
+    assert np.allclose(W, np.round(W))
+    g, n = WeightedGraph(W), 4
+    deg = [fsum(row) for row in W]
+
+    def cut(S):
+        return fsum(W[i, j] for i in S for j in range(n) if j not in S)
+
+    def vol(S):
+        return fsum(deg[i] for i in S)
+
+    def blocks_of(k):                   # label 0: in no block
+        for lab in product(range(k + 1), repeat=n):
+            blocks = [[i for i in range(n) if lab[i] == b] for b in range(1, k + 1)]
+            if all(blocks):
+                yield blocks
+
+    h = min(cut(A) / min(vol(A), vol([i for i in range(n) if i not in A]))
+            for (A,) in blocks_of(1) if len(A) < n)
+    h2 = min(max(cut(S) / vol(S) for S in bs) for bs in blocks_of(2))
+    dual = max(2 * fsum(W[i, j] for i in bs[0] for j in bs[1]) / vol(bs[0] + bs[1])
+               for bs in blocks_of(2))
+    for rep, want in ((cst.cheeger(g), h), (cst.k_way_cheeger(g, 2), h2),
+                      (cst.dual_cheeger_k(g, 1), dual)):
+        assert not isinstance(rep.value, Fraction), rep.variant
+        assert abs(rep.value - want) <= 1e-12 * want, (rep.variant, rep.value, want)
 
 
 def test_simplicial_cheeger_balanced_zero():

@@ -24,7 +24,8 @@ from homext.spectra import (CWReport, HomogeneousPair, SubgradientSet,
 from homext.structures import (ChemicalHypergraph, WeightedGraph,
                                adjacency_tensor)
 
-from reference_spectra import compose_odd_linear
+from reference_spectra import (chemical_pair_with_edge_terms, compose_odd_linear,
+                               dinkelbach_two_callbacks, inner_descent_two_callbacks)
 
 
 # -- Jacobi eigensolver -------------------------------------------------------
@@ -663,6 +664,78 @@ def test_chemical_edge_term_memo_keys_on_exact_bits():
     assert pair.F(x) == chemical_plap_pair(H, 1.5).F(x)
     got = pair.F_subgrad(x).center
     assert got.tobytes() == chemical_plap_pair(H, 1.5).F_subgrad(x).center.tobytes()
+
+
+def _tied_chemical_cases():
+    """Chemical hypergraphs with one-member and several-member edge sides,
+    and points with many tied coordinates, +0.0 and -0.0 among them."""
+    from homext.setfn import mask_of
+    from homext.verify import rand_chemical
+    rng = np.random.default_rng(29)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.1 + 0.2])
+    fixed = ChemicalHypergraph(4, [(mask_of([0]), mask_of([1])),
+                                   (mask_of([1, 2]), mask_of([3])),
+                                   (mask_of([3]), mask_of([0, 2])),
+                                   (mask_of([0, 1, 3]), mask_of([1, 2, 3]))])
+    for H in [fixed] + [rand_chemical(rng, 4, 7) for _ in range(30)]:
+        yield H, [rng.choice(levels, size=H.n) for _ in range(6)] + [np.zeros(H.n)]
+
+
+def test_chemical_F_grad_matches_the_edge_term_callbacks_bitwise():
+    for H, points in _tied_chemical_cases():
+        for p in (1.0, 1.5, 2.0, 3.0):
+            pair, ref = chemical_plap_pair(H, p), chemical_pair_with_edge_terms(H, p)
+            for x in points:
+                F, g = pair.F_grad(x)
+                assert type(F) is float and type(g) is list and len(g) == H.n
+                want = ref.F_subgrad(x).center.tobytes()
+                assert np.float64(F).tobytes() == np.float64(ref.F(x)).tobytes()
+                assert np.array(g).tobytes() == want
+                assert np.float64(pair.F(x)).tobytes() == np.float64(F).tobytes()
+                assert pair.F_subgrad(x).center.tobytes() == want
+
+
+def test_inner_descent_matches_two_callbacks_bitwise():
+    rng = np.random.default_rng(31)
+    for H, points in _tied_chemical_cases():
+        for p in (1.0, 1.5, 2.0, 3.0):
+            pair, ref = chemical_plap_pair(H, p), chemical_pair_with_edge_terms(H, p)
+            for x in points[:2]:
+                w = rng.normal(size=H.n)
+                got = spectra._inner_descent(pair.F_grad, w, x, iters=30)
+                want = inner_descent_two_callbacks(
+                    lambda y: ref.F(y) - w @ y,
+                    lambda y: ref.F_subgrad(y).any_point() - w, x, iters=30)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_dinkelbach_fused_descent_matches_two_callbacks():
+    # chemical pairs through their F_grad, against the edge-term callbacks
+    # and the two-callback descent; graph pairs through the default F_grad
+    from homext.verify import rand_chemical
+    rng = np.random.default_rng(37)
+    runs = []
+    for _ in range(4):
+        H = rand_chemical(rng, 4, 7)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            proj = projection_diag_power(H.degrees, p, np.ones(H.n))
+            runs.append((chemical_plap_pair(H, p), chemical_pair_with_edge_terms(H, p),
+                         proj, H.n))
+    for g in (WeightedGraph.cycle(5), WeightedGraph.complete(4),
+              WeightedGraph.erdos_renyi(6, 0.6, rng)):
+        for p in (1.5, 3.0):
+            pair = graph_plap_pair(g, p)
+            assert pair.F_grad is None
+            runs.append((pair, pair, projection_diag_power(g.degrees, p, np.ones(g.n)), g.n))
+    for pair, ref, proj, n in runs:
+        for _ in range(2):
+            x0 = rng.normal(size=n)
+            got = dinkelbach_ratiodca(pair, proj, x0, inner_iters=40, max_outer=12)
+            want = dinkelbach_two_callbacks(ref, proj, x0, inner_iters=40, max_outer=12)
+            assert repr(got.lam) == repr(want.lam) and type(got.lam) is type(want.lam)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert repr(got.history) == repr(want.history)
+            assert got.converged == want.converged
 
 
 def test_dinkelbach_chemical_golden_p15():
