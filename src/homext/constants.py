@@ -46,6 +46,16 @@ def _as_ratio(num: int, den: int):
     return Fraction(num, den)
 
 
+def _ratio(num, den, integral: bool):
+    """num / den: ``_as_ratio`` of the rounded sums for integral weights,
+    else a float by the same rule (0 / 0 is 0, a positive num / 0 is inf)."""
+    if integral:
+        return _as_ratio(int(round(num)), int(round(den)))
+    if den == 0:
+        return 0.0 if num == 0 else np.inf
+    return num / den
+
+
 def _vol_of(degrees: np.ndarray):
     """mask |-> vol(mask), the left-to-right sum of the degrees over
     mask_members, with the degrees read once."""
@@ -111,7 +121,7 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
             val = Fraction(int(cut), int(den))
         else:
             cut, den = g.cut_weight(a), min(vol(a), vol(total & ~a))
-            val = _as_ratio(int(round(cut)), int(round(den))) if integral else cut / den
+            val = _ratio(cut, den, integral)
         if best is None or val < best:
             best, arg = val, [a]
         elif val == best and len(arg) < 8:
@@ -152,7 +162,7 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
         worst = None
         for b in blocks:
             cut, den = g.cut_weight(b), vol(b)
-            val = _as_ratio(int(round(cut)), int(round(den))) if integral else cut / den
+            val = _ratio(cut, den, integral)
             if worst is None or val > worst:
                 worst = val
         if best is None or worst < best:
@@ -178,7 +188,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
             for (a, b) in pairing:
                 num = 2 * g.edge_weight_between(a, b)
                 den = vol(a | b)
-                val = _as_ratio(int(round(num)), int(round(den))) if integral else num / den
+                val = _ratio(num, den, integral)
                 if worst is None or val < worst:
                     worst = val
             if best is None or worst > best:

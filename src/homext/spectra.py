@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -51,17 +52,18 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix by Jacobi rotations in round-robin order; a round's rotations
-    act on disjoint pairs, so each of its row, column and eigenvector
-    updates is one fancy-indexed batch."""
+    matrix by Jacobi rotations in round-robin order.  A round's rotations
+    act on disjoint pairs, and A sits above V in one (2n x n) buffer, so a
+    round is one fancy-indexed row rotation of A and one column rotation
+    of A and V together."""
     A = np.array(S, dtype=float)
     n = A.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
     if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
         raise ValueError("matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
+    AV = np.vstack([0.5 * (A + A.T), np.eye(n)])
+    A = AV[:n]
     scale = max(1.0, np.abs(A).max())
     rounds = _round_robin(n)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -69,10 +71,12 @@ def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
         if off <= JACOBI_SWEEP_TOL * scale:
             break
         for P, Q in rounds:
-            keep = np.abs(A[P, Q]) > 1e-300
-            P, Q = P[keep], Q[keep]
+            apq = A[P, Q]
+            keep = np.abs(apq) > 1e-300
+            if not keep.all():
+                P, Q, apq = P[keep], Q[keep], apq[keep]
             with np.errstate(over="ignore"):    # theta * theta -> inf gives t = 0
-                theta = (A[Q, Q] - A[P, P]) / (2.0 * A[P, Q])
+                theta = (A[Q, Q] - A[P, P]) / (2.0 * apq)
                 t = np.where(theta != 0, np.sign(theta)
                              / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), 1.0)
             c = 1.0 / np.sqrt(t * t + 1.0)
@@ -80,13 +84,11 @@ def jacobi_eigh(S) -> tuple[np.ndarray, np.ndarray]:
             cr, sr = c[:, None], s[:, None]
             rp, rq = A[P], A[Q]
             A[P], A[Q] = cr * rp - sr * rq, sr * rp + cr * rq
-            cp, cq = A[:, P], A[:, Q]
-            A[:, P], A[:, Q] = c * cp - s * cq, s * cp + c * cq
-            vp, vq = V[:, P], V[:, Q]
-            V[:, P], V[:, Q] = c * vp - s * vq, s * vp + c * vq
+            cp, cq = AV[:, P], AV[:, Q]
+            AV[:, P], AV[:, Q] = c * cp - s * cq, s * cp + c * cq
     w = np.diag(A).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return w[order], AV[n:, order]
 
 
 def quadratic_pair_spectrum(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +260,7 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
 
     exactF = None
     exactG = None
-    if np.allclose(W, np.round(W)):
+    if np.array_equal(W, np.round(W)):
         # integer weights, rounded once; int coordinates stay int and only
         # the total becomes a Fraction
         isgn = 1 if signless else -1
@@ -366,19 +368,19 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
 # residual certification
 # ---------------------------------------------------------------------------
 
-def _interval_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
-    """Lower bound on ``polytope_gap`` without an LP: the largest distance
-    from 0 to a coordinate's range of u_i - lam v_i, which is
-    center +- sum |segments| plus the points' coordinate-wise min and max.
-    Equal to ``polytope_gap`` on singletons."""
-    c = U.center - lam * V.center
-    r = np.abs(U.segments).sum(axis=0) + np.abs(lam * V.segments).sum(axis=0)
+def _dual_gap(U: SubgradientSet, V: SubgradientSet, lam: float, Y) -> float:
+    """Lower bound on ``polytope_gap`` without an LP, by weak duality:
+    ||u - lam v||_inf is the max of y.(u - lam v) over ||y||_1 <= 1, so each
+    row y of ``Y`` (||y||_1 = 1) bounds the gap by the min over U x V of
+    y.(u - lam v): y.(c_U - lam c_V) - sum |y.s| over U's segments - |lam|
+    sum |y.s| over V's, plus the least y.p over U's points and the least
+    -lam y.q over V's."""
+    L = Y @ (U.center - lam * V.center)
+    L -= np.abs(Y @ U.segments.T).sum(axis=1) + abs(lam) * np.abs(Y @ V.segments.T).sum(axis=1)
     for P in (U.points, -lam * V.points):
         if P.shape[0]:
-            lo, hi = P.min(axis=0), P.max(axis=0)
-            c = c + 0.5 * (lo + hi)
-            r = r + 0.5 * (hi - lo)
-    return max(float(np.max(np.abs(c) - r)), 0.0)
+            L += (Y @ P.T).min(axis=1)
+    return max(float(L.max()), 0.0)
 
 
 def polytope_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
@@ -387,7 +389,7 @@ def polytope_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
     mF, rF = U.segments.shape[0], U.points.shape[0]
     mG, rG = V.segments.shape[0], V.points.shape[0]
     if U.is_singleton() and V.is_singleton():
-        return _interval_gap(U, V, lam)
+        return float(np.max(np.abs(U.center - lam * V.center)))
     nv = mF + rF + mG + rG + 1
     idx_eps = nv - 1
     const = U.center - lam * V.center
@@ -810,6 +812,16 @@ TERNARY_CAP = 8
 EXACT_TERNARY_TAGS = {"one-laplacian", "signless-one-laplacian"}
 
 
+@lru_cache(maxsize=TERNARY_CAP)
+def _ternary_rows(n: int) -> np.ndarray:
+    """The 3^n - 1 nonzero vectors of {-1, 0, 1}^n, each over its l1 norm."""
+    Y = np.indices((3,) * n).reshape(n, 3 ** n).T - 1.0
+    Y = np.delete(Y, Y.shape[0] // 2, axis=0)       # the zero vector
+    Y /= np.abs(Y).sum(axis=1, keepdims=True)
+    Y.flags.writeable = False                       # one array for every caller
+    return Y
+
+
 @dataclass
 class TernarySpectrum:
     eigenvalues: list            # Fractions when the pair evaluates exactly
@@ -829,9 +841,15 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
 
     1. lambda already found (exactly for exact pairs, within ``tol`` for
        float pairs): skipped before any subgradient is built;
-    2. the interval bound ``_interval_gap`` on min ||u - lambda v||_inf
-       over dF(x) x dG(x) exceeds ``tol``: rejected.  The bound is a lower
-       bound on the true residual, so this rejection is certified;
+    2. rejected when the weak-duality bound ``_dual_gap`` on
+       min ||u - lambda v||_inf over dF(x) x dG(x) exceeds ``tol``: first at
+       the rows +-e_i (an interval bound per coordinate), then at every
+       ternary row.  Each row gives a lower bound on the residual, so the
+       rejection is certified.  For 1-Laplacians (plain and signless) the
+       bound at ternary rows equals the residual: the dual objective is
+       linear on the chambers of the arrangement {y_i = +-y_j, y_i = 0},
+       whose rays are ternary, so its maximum is at a ternary row and only
+       eigenpairs reach the LP;
     3. otherwise kept when the residual LP ``polytope_gap`` certifies the
        eigenpair.
 
@@ -844,6 +862,7 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     found: dict = {}
     seen = set()
     tested = 0
+    E, Y = np.vstack([np.eye(n), -np.eye(n)]), _ternary_rows(n)
     for digits in product((-1, 0, 1), repeat=n):
         if all(d == 0 for d in digits):
             continue
@@ -862,7 +881,7 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
         if lam_exact in found or lam_exact is None and any(abs(k - lam) <= tol for k in found):
             continue
         U, V = pair.F_subgrad(x), pair.G_subgrad(x)
-        if _interval_gap(U, V, lam) > tol:
+        if _dual_gap(U, V, lam, E) > tol or _dual_gap(U, V, lam, Y) > tol:
             continue
         if polytope_gap(U, V, lam) <= tol:
             found[lam_exact if lam_exact is not None else lam] = digits

@@ -163,7 +163,7 @@ class WeightedGraph:
 
     def cut_function(self) -> SetTupleFunction:
         """A |-> cut weight, exact Fractions when weights are integral."""
-        exact = np.allclose(self.W, np.round(self.W))
+        exact = np.array_equal(self.W, np.round(self.W))
         def f(mask):
             v = self.cut_weight(mask)
             return Fraction(int(round(v))) if exact else v
@@ -172,7 +172,7 @@ class WeightedGraph:
     def ordered_edge_count(self) -> SetTupleFunction:
         """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B: a
         Fraction for integral weights, else np.float64 (0.0 if A or B is empty)."""
-        exact = np.allclose(self.W, np.round(self.W))
+        exact = np.array_equal(self.W, np.round(self.W))
         rows = self.W.tolist()
         def f(a, b):
             js = mask_members(b)

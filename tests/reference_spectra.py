@@ -1,7 +1,7 @@
 """Test-side references for the spectral layer: the cyclic Jacobi loop that
 copied its rows and columns, the round-robin Jacobi schedule applied one
 rotation at a time, the ternary enumeration that ran the residual LP on
-every vector, the one-Laplacian's exact F and G in Fraction arithmetic,
+every vector and the one that rejected by coordinate intervals first, the one-Laplacian's exact F and G in Fraction arithmetic,
 a pair composed with a linear map, and the Dinkelbach inner descent with
 F and its subgradient as two callbacks (the chemical pair's over
 memoized edge terms)."""
@@ -137,6 +137,55 @@ def ternary_residual_first(pair, n, tol=1e-8):
                     found[lam_exact] = digits
             elif not [k for k in found if abs(k - lam) <= tol]:
                 found[lam] = digits
+    vals = sorted(found.keys(), key=float)
+    return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
+                                   pair.tag in spectra.EXACT_TERNARY_TAGS, tested)
+
+
+def interval_gap(U, V, lam):
+    """Lower bound on ``spectra.polytope_gap`` without an LP: the largest
+    distance from 0 to a coordinate's range of u_i - lam v_i, which is
+    center +- sum |segments| plus the points' coordinate-wise min and max."""
+    c = U.center - lam * V.center
+    r = np.abs(U.segments).sum(axis=0) + np.abs(lam * V.segments).sum(axis=0)
+    for P in (U.points, -lam * V.points):
+        if P.shape[0]:
+            lo, hi = P.min(axis=0), P.max(axis=0)
+            c = c + 0.5 * (lo + hi)
+            r = r + 0.5 * (hi - lo)
+    return max(float(np.max(np.abs(c) - r)), 0.0)
+
+
+def ternary_interval_then_lp(pair, n, tol=1e-8):
+    """``spectra.ternary_eigen_enumerate`` as it was before the dual bound:
+    a lambda already found is skipped, a vector whose coordinate intervals
+    stay more than ``tol`` away from 0 is rejected, and the residual LP
+    decides the rest."""
+    found = {}
+    seen = set()
+    tested = 0
+    for digits in product((-1, 0, 1), repeat=n):
+        if all(d == 0 for d in digits):
+            continue
+        first = next(d for d in digits if d != 0)
+        if first < 0:
+            continue
+        x = np.array(digits, dtype=float)
+        tested += 1
+        if pair.exact_F is not None:
+            lam_exact = pair.exact_F(digits) / pair.exact_G(digits)
+            lam = float(lam_exact)
+        else:
+            lam_exact = None
+            lam = pair.ratio(x)
+        seen.add(lam_exact if lam_exact is not None else round(lam, 12))
+        if lam_exact in found or lam_exact is None and any(abs(k - lam) <= tol for k in found):
+            continue
+        U, V = pair.F_subgrad(x), pair.G_subgrad(x)
+        if interval_gap(U, V, lam) > tol:
+            continue
+        if spectra.polytope_gap(U, V, lam) <= tol:
+            found[lam_exact if lam_exact is not None else lam] = digits
     vals = sorted(found.keys(), key=float)
     return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
                                    pair.tag in spectra.EXACT_TERNARY_TAGS, tested)

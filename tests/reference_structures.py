@@ -63,7 +63,7 @@ def vol(carrier, mask) -> float:
 
 def ordered_edge_count_loop(g):
     """f(A, B) summed over i in A, then j in B, reading g.W[i, j] each time."""
-    exact = np.allclose(g.W, np.round(g.W))
+    exact = np.array_equal(g.W, np.round(g.W))
     def f(a, b):
         total = 0.0
         for i in mask_members(a):

@@ -321,6 +321,23 @@ def test_near_integral_weights_give_cut_over_vol():
         assert abs(rep.value - want) <= 1e-12 * want, (rep.variant, rep.value, want)
 
 
+def test_kway_and_dual_float_blocks_of_zero_volume():
+    # the path 1-2-3 (weights 1.5, 0.5) and the isolated vertex 0: the block
+    # {0} has cut 0 and volume 0, which counts as 0 as in the integral path,
+    # so h_2 = 0 on blocks ({0}, {1, 2, 3}) like the doubled graph's
+    import warnings
+    W = np.zeros((4, 4))
+    W[1, 2] = W[2, 1] = 1.5
+    W[2, 3] = W[3, 2] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (WeightedGraph(W), WeightedGraph(2 * W)):
+            rep = cst.k_way_cheeger(g, 2)
+            assert rep.value == 0 and rep.optimal_sets == [(1, 14)]
+            dual = cst.dual_cheeger_k(g, 1)
+            assert dual.value == 1 and dual.optimal_sets == [[(11, 4)]]
+
+
 def test_simplicial_cheeger_balanced_zero():
     # path complex at d = 0: the anti-signed graph is an all-negative tree,
     # balanced, so h_1(S_0) = 0

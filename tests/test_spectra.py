@@ -4,6 +4,7 @@ enumeration, projections, and the duality reports."""
 
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -921,15 +922,22 @@ def _random_subgradient_set(rng, n, segments, points):
                           rng.normal(size=(points, n)) if points else None)
 
 
+def _coordinate_rows(n):
+    return np.vstack([np.eye(n), -np.eye(n)])
+
+
 def test_interval_gap_lower_bounds_polytope_gap():
+    # the interval bound is the dual bound at the rows +-e_i
+    from reference_spectra import interval_gap
     rng = np.random.default_rng(5)
     for _ in range(150):
         n = int(rng.integers(1, 6))
         U = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
         V = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
         lam = float(rng.choice([0.0, 0.5, 1.0, -0.75, 2.5]))
-        bound = spectra._interval_gap(U, V, lam)
+        bound = spectra._dual_gap(U, V, lam, _coordinate_rows(n))
         assert 0.0 <= bound <= spectra.polytope_gap(U, V, lam) + 1e-9
+        assert abs(bound - interval_gap(U, V, lam)) <= 1e-12
 
 
 def test_interval_gap_equals_polytope_gap_on_singletons():
@@ -939,17 +947,161 @@ def test_interval_gap_equals_polytope_gap_on_singletons():
         U, V = SubgradientSet(rng.normal(size=n)), SubgradientSet(rng.normal(size=n))
         lam = float(rng.normal())
         want = float(np.max(np.abs(U.center - lam * V.center)))
-        assert spectra._interval_gap(U, V, lam) == spectra.polytope_gap(U, V, lam) == want
+        assert spectra._dual_gap(U, V, lam, _coordinate_rows(n)) == \
+            spectra.polytope_gap(U, V, lam) == want
 
 
 def test_interval_gap_is_exact_on_one_coordinate_boxes():
     # U = [1, 3] (center 2, one segment), V = {1}: u - 0.5 v lies in [0.5, 2.5]
     U = SubgradientSet([2.0], [[1.0]])
     V = SubgradientSet([1.0])
-    assert spectra._interval_gap(U, V, 0.5) == 0.5
-    assert spectra._interval_gap(U, V, 1.5) == 0.0          # [-0.5, 1.5] holds 0
+    E = _coordinate_rows(1)
+    assert spectra._dual_gap(U, V, 0.5, E) == 0.5
+    assert spectra._dual_gap(U, V, 1.5, E) == 0.0           # [-0.5, 1.5] holds 0
     P = SubgradientSet([0.0], points=[[2.0], [4.0]])         # conv{2, 4}
-    assert spectra._interval_gap(P, V, 1.0) == 1.0
+    assert spectra._dual_gap(P, V, 1.0, E) == 1.0
+
+
+def _highs_gap(optimize, U, V, lam):
+    """min ||u - lam v||_inf over U x V by HiGHS; the variables are U's
+    segment and point weights, V's, and the bound eps on every coordinate."""
+    parts = [(U.segments, 1.0, (-1.0, 1.0)), (U.points, 1.0, (0.0, None)),
+             (V.segments, -lam, (-1.0, 1.0)), (V.points, -lam, (0.0, None))]
+    B = np.hstack([f * M.T for M, f, _ in parts])
+    bounds = [b for M, _, b in parts for _ in range(M.shape[0])] + [(0.0, None)]
+    const = U.center - lam * V.center
+    ones = np.ones((U.n, 1))
+    A_ub = np.vstack([np.hstack([B, -ones]), np.hstack([-B, -ones])])
+    A_eq, col = [], 0
+    for M, _, b in parts:
+        if b[1] is None and M.shape[0]:                         # point weights sum to 1
+            row = np.zeros(B.shape[1] + 1)
+            row[col:col + M.shape[0]] = 1.0
+            A_eq.append(row)
+        col += M.shape[0]
+    c = np.zeros(B.shape[1] + 1)
+    c[-1] = 1.0
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=np.concatenate([-const, const]),
+                           A_eq=np.array(A_eq) if A_eq else None,
+                           b_eq=np.ones(len(A_eq)) if A_eq else None,
+                           bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_dual_gap_is_a_lower_bound_on_the_highs_checked_lp():
+    # weak duality: every row y with ||y||_1 = 1 bounds min ||u - lam v||_inf
+    # from below, whatever the sign of lam
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    optimize = pytest.importorskip("scipy.optimize")
+    entry = st.floats(-3, 3, allow_nan=False)
+
+    def subgradient_set(draw, n):
+        m, r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        grid = st.lists(entry, min_size=n, max_size=n)
+        return SubgradientSet(draw(grid), [draw(grid) for _ in range(m)] or None,
+                              [draw(grid) for _ in range(r)] or None)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 4), st.sampled_from(["negative", "zero", "positive"]),
+               st.floats(0.01, 3), st.data())
+    def check(n, sign, size, data):
+        U, V = subgradient_set(data.draw, n), subgradient_set(data.draw, n)
+        lam = {"negative": -size, "zero": 0.0, "positive": size}[sign]
+        gap = spectra.polytope_gap(U, V, lam)
+        assert abs(gap - _highs_gap(optimize, U, V, lam)) <= 1e-9 * max(1.0, gap)
+        for Y in (_coordinate_rows(n), spectra._ternary_rows(n)):
+            assert 0.0 <= spectra._dual_gap(U, V, lam, Y) <= gap + 1e-12
+
+    check()
+
+
+def test_ternary_rows_are_every_nonzero_ternary_direction():
+    for n in range(1, 5):
+        Y = spectra._ternary_rows(n)
+        assert np.allclose(np.abs(Y).sum(axis=1), 1.0)
+        signs = {tuple(np.sign(y).astype(int)) for y in Y}
+        assert signs == set(product((-1, 0, 1), repeat=n)) - {(0,) * n}
+        assert Y.shape[0] == 3 ** n - 1
+
+
+def test_dual_gap_at_ternary_rows_is_exact_for_one_laplacians():
+    # the dual objective is linear on the chambers of {y_i = +-y_j, y_i = 0},
+    # whose rays are ternary: the bound equals the LP at every ternary vector
+    rng = np.random.default_rng(11)
+    graphs = [WeightedGraph.complete(4), WeightedGraph.path(5), WeightedGraph.cycle(6)]
+    for n in (3, 4, 5, 6):
+        W = np.triu(rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.7), 1).astype(float)
+        W[np.arange(n - 1), np.arange(1, n)] += 1.0            # a path: no isolated vertex
+        Wf = W * rng.uniform(0.3, 2.0, (n, n))                 # float weight per edge
+        graphs += [WeightedGraph(W + W.T), WeightedGraph(Wf + Wf.T)]
+    for g in graphs:
+        Y = spectra._ternary_rows(g.n)
+        for signless in (False, True):
+            pair = one_laplacian_pair(g, signless=signless)
+            for digits in product((-1, 0, 1), repeat=g.n):
+                if any(digits) and next(d for d in digits if d) > 0:   # the pair is even
+                    x = np.array(digits, dtype=float)
+                    U, V, lam = pair.F_subgrad(x), pair.G_subgrad(x), pair.ratio(x)
+                    assert abs(spectra._dual_gap(U, V, lam, Y)
+                               - spectra.polytope_gap(U, V, lam)) <= 1e-12, (g.W, digits)
+
+
+def _spectrum_reprs(s):
+    """Every TernarySpectrum field, each value with its type and repr."""
+    return ([(type(v), repr(v)) for v in s.eigenvalues],
+            [(type(k), repr(k), w) for k, w in s.witnesses.items()],
+            sorted(((type(v), repr(v)) for v in s.ratios_seen), key=repr),
+            s.exact_for_pair, s.tested)
+
+
+def test_ternary_matches_interval_then_lp_reference():
+    # the dual bound rejects only vectors the interval bound or the LP
+    # rejected, and keeps every eigenvalue, witness and count
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from reference_spectra import ternary_interval_then_lp
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 5), st.booleans(), st.sampled_from([1.0, 0.5, 0.3]),
+               st.data())
+    def check(n, signless, scale, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ws = data.draw(st.lists(st.integers(0, 3), min_size=len(pairs),
+                                max_size=len(pairs)))
+        W = np.zeros((n, n))
+        for (i, j), w in zip(pairs, ws):
+            W[i, j] = W[j, i] = scale * w
+        g = WeightedGraph(W)
+        hyp.assume(np.all(g.degrees > 0))
+        pair = one_laplacian_pair(g, signless=signless)
+        for tol in (1e-8, 0.2, 0.3):
+            got = ternary_eigen_enumerate(pair, n, tol=tol)
+            want = ternary_interval_then_lp(pair, n, tol=tol)
+            assert _spectrum_reprs(got) == _spectrum_reprs(want)
+
+    check()
+    maps = [np.diag([1.0, -1.0, 1.0, -1.0]),
+            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])]
+    for M in maps:
+        comp = compose_odd_linear(one_laplacian_pair(WeightedGraph.path(4)), M)
+        for tol in (1e-8, 0.2, 0.3):
+            assert _spectrum_reprs(ternary_eigen_enumerate(comp, 4, tol=tol)) == \
+                _spectrum_reprs(ternary_interval_then_lp(comp, 4, tol=tol))
+
+
+def test_near_integral_weights_give_a_float_pair():
+    # 10000.09 is allclose to 10000 but not an integer: no exact F and G,
+    # and the ternary eigenvalues are the float ratios
+    W = np.array([[0, 10000.09, 0], [10000.09, 0, 20000.18], [0, 20000.18, 0]])
+    pair = one_laplacian_pair(WeightedGraph(W))
+    assert pair.exact_F is None and pair.exact_G is None
+    spec = ternary_eigen_enumerate(pair, 3)
+    assert spec.eigenvalues and all(type(v) is float for v in spec.eigenvalues)
+    for v, digits in spec.witnesses.items():
+        assert v == pair.ratio(np.array(digits, dtype=float))
 
 
 def test_exact_pair_integer_sums_match_fractions():

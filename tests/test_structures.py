@@ -1,6 +1,7 @@
 """Carriers: boundary matrices, anti-signed graphs, balance, Huang signing,
 hypercubes and adjacency tensors."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -233,3 +234,15 @@ def test_ordered_edge_count_matches_the_double_loop():
             for b in range(1 << g.n):
                 got, want = f(a, b), ref(a, b)
                 assert (type(got), repr(got)) == (type(want), repr(want)), (g.W, a, b)
+
+
+def test_near_integral_weights_keep_float_set_functions():
+    # 10000.09 is allclose to 10000 but not an integer: the cut function and
+    # the ordered edge count give the float sums, not rounded Fractions
+    W = np.array([[0, 10000.09, 0], [10000.09, 0, 20000.18], [0, 20000.18, 0]])
+    g = WeightedGraph(W)
+    cut, count = g.cut_function(), g.ordered_edge_count()
+    for a in range(1, 8):
+        assert type(cut(a)) is not Fraction and cut(a) == g.cut_weight(a)
+    assert type(count(0b001, 0b010)) is not Fraction
+    assert count(0b001, 0b010) == 10000.09 and count(0b010, 0b111) == 10000.09 + 20000.18
