@@ -264,13 +264,21 @@ def cmd_cheeger(args) -> int:
     if args.variant == "chemical":
         H = parse_input(args.input, "chemical-hypergraph")
         rep = cst.chemical_cheeger(H)
-    elif args.variant == "simplicial":
-        K = parse_input(args.input, "complex")
-        rep = cst.simplicial_cheeger(K, args.d, args.k)
     else:
-        g = parse_input(args.input, "graph")
-        k = max(args.k, 2) if args.variant == "kway" else args.k
-        if args.variant == "dual":
+        if args.variant == "simplicial":
+            K = parse_input(args.input, "complex")
+            k, blocks, size = args.k, args.k, K.count(args.d)
+        else:
+            g = parse_input(args.input, "graph")
+            k = max(args.k, 2) if args.variant == "kway" else args.k
+            blocks, size = (2 * k if args.variant == "dual" else k), g.n
+        if (args.variant != "plain" or k > 1) and (k < 1 or blocks > size):
+            print(f"cheeger --variant {args.variant} needs --k >= 1 and at most "
+                  f"{size} sets, got --k {args.k} ({blocks} sets)", file=sys.stderr)
+            return 2
+        if args.variant == "simplicial":
+            rep = cst.simplicial_cheeger(K, args.d, k)
+        elif args.variant == "dual":
             rep = cst.dual_cheeger_k(g, k)
         elif k > 1:
             rep = cst.k_way_cheeger(g, k)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .setfn import CapExceeded, full_mask, mask_members, mask_of, popcount, submasks
 from .simplex import l1_residual_lp, linprog  # noqa: F401  linprog: looked up here by tracers
-from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
-                         WeightedGraph)
+from .structures import ChemicalHypergraph, SimplicialComplex, WeightedGraph
 
 CHEEGER_CAP = 20
 KWAY_CAP = 12
@@ -56,72 +55,76 @@ def _ratio(num, den, integral: bool):
     return num / den
 
 
-def _vol_of(degrees: np.ndarray):
-    """mask |-> vol(mask), the left-to-right sum of the degrees over
-    mask_members, with the degrees read once."""
-    d = degrees.tolist()
-
-    def vol(mask: int) -> float:
-        total = 0.0
-        for i in mask_members(mask):
-            total += d[i]
-        return total
-
-    return vol
-
-
-def subset_rows(n: int, hi: int):
-    """(masks, I) for the masks 1 .. hi - 1, one chunk of at most
-    ``SUBSET_CHUNK`` masks at a time, I their 0/1 int64 indicator rows: a
-    table such as vol = I d is exact for int64 d."""
+def subset_tables(W: np.ndarray, d: np.ndarray, hi: int):
+    """(masks, rows, cut, vol) for the masks S = 1 .. hi - 1, one chunk of at
+    most ``SUBSET_CHUNK`` masks at a time: rows[i] is vertex i's boolean
+    indicator over the chunk, cut(S) = sum of W_ij over i in S, j not in S
+    and vol(S) = sum of d_i over i in S.  Each sum adds its nonzero W_ij (or
+    its d_i) one at a time, i ascending and then j ascending, so every entry
+    has the bits of the left-to-right loop over mask_members."""
+    n, terms = len(d), [(i, j, W[i, j]) for i, j in np.argwhere(W)]
     for lo in range(1, hi, SUBSET_CHUNK):
         masks = np.arange(lo, min(lo + SUBSET_CHUNK, hi), dtype=np.int64)
-        yield masks, (masks[:, None] >> np.arange(n)) & 1
+        rows = ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
+        cut = np.zeros(masks.size)
+        for i, j, w in terms:
+            np.add(cut, w, out=cut, where=rows[i] & ~rows[j])
+        yield masks, rows, cut, _member_sum(rows, d)
 
 
-def _near_least(chunks, slack) -> list[tuple[int, object, object]]:
-    """(mask, num, den), in mask order, of every mask whose ratio may be
-    least, from chunks (masks, num, den) of nonnegative tables (den > 0 at
-    slack 0): a mask is kept when its least ratio max(num - slack, 0) /
-    (den + slack) is within 1e-9 (relative) of the least greatest ratio
-    (num + slack) / (den - slack), which is inf for den <= slack."""
+def _member_sum(rows: np.ndarray, d) -> np.ndarray:
+    """Per column of rows, the sum of d_i over the rows i set there, i ascending."""
+    total = np.zeros(rows.shape[1])
+    for i, di in enumerate(d):
+        np.add(total, di, out=total, where=rows[i])
+    return total
+
+
+def _tables(W: np.ndarray, d: np.ndarray) -> tuple[list, list]:
+    """cut and vol of ``subset_tables`` at every mask 0 .. 2^n - 1, typed as
+    the loops over mask_members type them: cut np.float64 but the empty sum
+    0.0 at the empty set and V, vol Python floats."""
+    cut, vol = [0.0], [0.0]
+    for _, _, c, v in subset_tables(W, d, 1 << len(d)):
+        cut += list(c)
+        vol += v.tolist()
+    cut[-1] = 0.0
+    return cut, vol
+
+
+def _check_blocks(k: int, blocks: int, size: int, what: str) -> None:
+    if k < 1 or blocks > size:
+        raise ValueError(f"k = {k} needs 1 <= {blocks} blocks <= {size} {what}")
+
+
+def _near_least(chunks) -> list[tuple[int, object, object]]:
+    """(mask, num, den), in mask order, of every mask whose ratio num / den
+    is within 1e-9 (relative) of the least, from chunks (masks, num, den)
+    of nonnegative tables with den > 0."""
     parts, least = [], np.inf
     for masks, num, den in chunks:
-        lo = np.maximum(num - slack, 0) / (den + slack)
-        hi = np.divide(num + slack, den - slack, out=np.full(lo.shape, np.inf),
-                       where=den > slack)
-        least = min(least, hi.min(initial=np.inf))
-        near = lo <= least * (1 + 1e-9)
-        parts += zip(masks[near].tolist(), num[near], den[near], lo[near])
-    return [(a, num, den) for a, num, den, lo in parts if lo <= least * (1 + 1e-9)]
+        r = num / den
+        least = min(least, r.min(initial=np.inf))
+        near = r <= least * (1 + 1e-9)
+        parts += zip(masks[near].tolist(), num[near], den[near], r[near])
+    return [(a, num, den) for a, num, den, r in parts if r <= least * (1 + 1e-9)]
 
 
 def cheeger(g: WeightedGraph) -> CheegerReport:
-    """h = min over proper nonempty A of cut(A) / min(vol A, vol A^c);
-    subset tables preselect, Fractions of exact integer tables decide, and
-    other weights go by ``cut_weight`` and the left-to-right volumes."""
+    """h = min over proper nonempty A of cut(A) / min(vol A, vol A^c); the
+    tables' float ratios preselect and ``_ratio`` of their entries decides."""
     if g.n > CHEEGER_CAP:
         raise CapExceeded(f"cheeger enumeration capped at n <= {CHEEGER_CAP}")
     if not g.is_connected():
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
     integral = np.array_equal(g.W, np.round(g.W))
-    exact = integral and g.W.sum() < 2 ** 53
-    W = g.W.astype(np.int64) if exact else g.W
-    d, total, vol = W.sum(axis=1), full_mask(g.n), _vol_of(g.degrees)
-    # integral weights past 2^53: rounded table sums and the decision's
-    # rounded sums differ by at most 1 plus the two summation errors
-    slack = 1 + g.n ** 2 * np.finfo(float).eps * g.W.sum() if integral and not exact else 0
-    rnd = np.rint if slack else np.asarray
-    tables = ((masks, rnd(np.einsum("ij,ij->i", I @ W, 1 - I)),
-               rnd(np.minimum(I @ d, (1 - I) @ d))) for masks, I in subset_rows(g.n, total))
+    d, total = g.degrees, full_mask(g.n)
+    tables = ((masks, cut, np.minimum(vol, _member_sum(~rows, d)))
+              for masks, rows, cut, vol in subset_tables(g.W, d, total))
     best, arg = None, []
-    for a, cut, den in _near_least(tables, slack):
-        if exact:
-            val = Fraction(int(cut), int(den))
-        else:
-            cut, den = g.cut_weight(a), min(vol(a), vol(total & ~a))
-            val = _ratio(cut, den, integral)
+    for a, cut, den in _near_least(tables):
+        val = _ratio(cut, den, integral)
         if best is None or val < best:
             best, arg = val, [a]
         elif val == best and len(arg) < 8:
@@ -152,19 +155,13 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
     """h_k = min over disjoint nonempty S_1..S_k of max_i cut(S_i)/vol(S_i)."""
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
-    if k > g.n:
-        raise ValueError("k exceeds the vertex count")
+    _check_blocks(k, k, g.n, "vertices")
     integral = np.array_equal(g.W, np.round(g.W))
-    vol = _vol_of(g.degrees)
+    ratio = [_ratio(c, v, integral) for c, v in zip(*_tables(g.W, g.degrees))]
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, k):
         count += 1
-        worst = None
-        for b in blocks:
-            cut, den = g.cut_weight(b), vol(b)
-            val = _ratio(cut, den, integral)
-            if worst is None or val > worst:
-                worst = val
+        worst = max(ratio[b] for b in blocks)
         if best is None or worst < best:
             best, arg = worst, [blocks]
     return CheegerReport(best, arg, count, f"{k}-way")
@@ -175,8 +172,9 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
     min_i 2 E(V_{2i-1}, V_{2i}) / vol(V_{2i-1} | V_{2i})."""
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
+    _check_blocks(k, 2 * k, g.n, "vertices")
     integral = np.array_equal(g.W, np.round(g.W))
-    vol = _vol_of(g.degrees)
+    E, vol = g.ordered_edge_count().callback, _tables(g.W, g.degrees)[1]
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, 2 * k):
         # blocks are canonically ordered; pair them in every way is costly,
@@ -184,13 +182,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
         # pairings, so enumerate pairings of the 2k blocks.
         count += 1
         for pairing in _pairings(list(blocks)):
-            worst = None
-            for (a, b) in pairing:
-                num = 2 * g.edge_weight_between(a, b)
-                den = vol(a | b)
-                val = _ratio(num, den, integral)
-                if worst is None or val < worst:
-                    worst = val
+            worst = min(_ratio(2 * E(a, b), vol[a | b], integral) for a, b in pairing)
             if best is None or worst > best:
                 best, arg = worst, [pairing]
     return CheegerReport(best, arg, count, f"{k}-way-dual")
@@ -223,11 +215,11 @@ def maxcut(g: WeightedGraph, seed: int = 42) -> MaxcutReport:
     indicator pair attains it."""
     if g.n > MAXCUT_CAP:
         raise CapExceeded(f"maxcut capped at n <= {MAXCUT_CAP}")
-    best, arg = -1.0, 0
-    for a in range(1 << (g.n - 1)):       # fix vertex n-1 outside
-        cut = g.cut_weight(a)
-        if cut > best:
-            best, arg = cut, a
+    best, arg = 0.0, 0                    # the empty side, an empty sum
+    for masks, _, cut, _ in subset_tables(g.W, g.degrees, 1 << (g.n - 1)):
+        i = int(cut.argmax())             # vertex n-1 stays outside
+        if cut[i] > best:
+            best, arg = cut[i], int(masks[i])
     rng = np.random.default_rng(seed)
     ok = True
     comp = full_mask(g.n) & ~arg
@@ -331,14 +323,10 @@ def motzkin_straus(g: WeightedGraph, seed: int = 42) -> MotzkinStrausReport:
         start_list.append(rng.uniform(0.05, 1.0, g.n))
     val, bx = _replicator_ascent(lambda x: A @ x, lambda x: float(x @ A @ x),
                                  start_list)
-    best_density = Fraction(0)
-    for a in range(1, 1 << g.n):
-        e2 = 0
-        mem = mask_members(a)
-        for i, j in combinations(mem, 2):
-            if A[i, j]:
-                e2 += 2
-        best_density = max(best_density, Fraction(e2, popcount(a) ** 2))
+    dens = set()                          # (2 #edges inside A, |A|)
+    for _, rows, cut, vol in subset_tables(A, A.sum(axis=1), 1 << g.n):
+        dens.update(zip((vol - cut).tolist(), rows.sum(axis=0).tolist()))
+    best_density = max((Fraction(int(e2), s * s) for e2, s in dens), default=Fraction(0))
     return MotzkinStrausReport(omega, wit, 1.0 - 1.0 / omega, val, bx, best_density)
 
 
@@ -362,14 +350,16 @@ def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
     if n > 16:
         raise CapExceeded("lagrangian enumeration capped at n <= 16")
     k = len(hyperedges[0]) if hyperedges else 2
-    masks = [mask_of(e) for e in hyperedges]
-
     best, wit = Fraction(0), 0
-    for u in range(1, 1 << n):
-        cnt = sum(1 for m in masks if (m & u) == m)
-        val = Fraction(cnt, popcount(u) ** k)
-        if val > best:
-            best, wit = val, u
+    for masks, _, _, size in subset_tables(np.zeros((n, n)), np.ones(n), 1 << n):
+        cnt = np.zeros(masks.size, dtype=np.int64)    # hyperedges inside the set
+        for m in map(mask_of, hyperedges):
+            cnt += (masks & m) == m
+        r = cnt / size ** k
+        for i in np.flatnonzero((r > 0) & (r >= r.max() * (1 - 1e-9))):
+            val = Fraction(int(cnt[i]), int(size[i]) ** k)
+            if val > best:
+                best, wit = val, int(masks[i])
 
     edge_lists = [list(e) for e in hyperedges]
 
@@ -385,8 +375,9 @@ def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
         return g
 
     rng = np.random.default_rng(seed)
-    start_list = [np.ones(n),
-                  np.array([(wit >> i) & 1 for i in range(n)], dtype=float)]
+    start_list = [np.ones(n)]
+    if wit:                               # no hyperedge: no densest subset
+        start_list.append(np.array([(wit >> i) & 1 for i in range(n)], dtype=float))
     for _ in range(ASCENT_STARTS):
         start_list.append(rng.uniform(0.05, 1.0, n))
     val, _ = _replicator_ascent(grad, value, start_list)
@@ -408,20 +399,20 @@ def chemical_cheeger(H: ChemicalHypergraph) -> CheegerReport:
     """min over proper nonempty A of #boundary(A) / min(vol A, vol A^c)."""
     if H.n > CHEEGER_CAP:
         raise CapExceeded(f"chemical cheeger capped at n <= {CHEEGER_CAP}")
-    total, d = full_mask(H.n), H.degrees.astype(np.int64)
+    total, d = full_mask(H.n), H.degrees
 
     def chunks():
-        for masks, I in subset_rows(H.n, total):
+        for masks, rows, _, vol in subset_tables(np.zeros((H.n, H.n)), d, total):
             # boundary: e_in meets A and e_out leaves it, or e_out is inside and e_in outside
             num = np.zeros(masks.size, dtype=np.int64)
             for e_in, e_out in H.edges:
                 num += (((masks & e_in) != 0) & ((~masks & e_out) != 0)) \
                     | (((masks & e_out) == e_out) & ((masks & e_in) == 0))
-            den = np.minimum(I @ d, (1 - I) @ d)
+            den = np.minimum(vol, _member_sum(~rows, d))
             yield masks[den != 0], num[den != 0], den[den != 0]
 
     best, arg = None, []
-    for a, num, den in _near_least(chunks(), 0):
+    for a, num, den in _near_least(chunks()):
         val = Fraction(int(num), int(den))
         if best is None or val < best:
             best, arg = val, [a]
@@ -430,52 +421,24 @@ def chemical_cheeger(H: ChemicalHypergraph) -> CheegerReport:
 
 # -- simplicial Cheeger constants ----------------------------------------------
 
-def _signed_counts(G: SignedGraph, a: int, b: int) -> tuple[int, int, int]:
-    """(E_-(a), E_-(b), E_+(a, b)) edge counts in the signed graph."""
-    em_a = em_b = ep_ab = 0
-    n = G.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = G.W[i, j]
-            if w == 0:
-                continue
-            ina, inb = (a >> i) & 1, (b >> i) & 1
-            jna, jnb = (a >> j) & 1, (b >> j) & 1
-            if w < 0 and ina and jna:
-                em_a += 1
-            if w < 0 and inb and jnb:
-                em_b += 1
-            if w > 0 and ((ina and jnb) or (inb and jna)):
-                ep_ab += 1
-    return em_a, em_b, ep_ab
-
-
-def _boundary_count(G: SignedGraph, s: int) -> int:
-    cnt = 0
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            if G.W[i, j] != 0 and ((s >> i) & 1) != ((s >> j) & 1):
-                cnt += 1
-    return cnt
-
-
-def signed_beta(G: SignedGraph, degrees, a: int, b: int) -> Fraction:
-    """beta(A, A') of a signed graph with the given volume degrees."""
-    em_a, em_b, ep = _signed_counts(G, a, b)
-    s = a | b
-    num = 2 * (em_a + em_b + ep) + _boundary_count(G, s)
-    den = int(round(sum(degrees[i] for i in mask_members(s))))
-    return _as_ratio(num, den)
-
-
 def simplicial_cheeger(K: SimplicialComplex, d: int, k: int = 1) -> CheegerReport:
     """k-th Cheeger constant on the d-simplices through the anti-signed
-    graph: min over 2k disjoint sets of the max beta of consecutive pairs."""
+    graph: min over 2k disjoint sets of the max beta of consecutive pairs,
+    beta(A, A') = (2 E_-(A) + 2 E_-(A') + 2 E_+(A, A') + #boundary(A | A'))
+    / vol(A | A') from the subset tables of the negative and positive edges."""
     G = K.anti_signed_graph(d)
-    deg = K.up_degrees(d)
     nd = K.count(d)
     if nd > SIMPLICIAL_CAP:
         raise CapExceeded(f"simplicial enumeration capped at {SIMPLICIAL_CAP} simplices")
+    _check_blocks(k, k, nd, f"{d}-simplices")
+    # 2 E_-(S) = vol_-(S) - cut_-(S), 2 E_+(A, A') = cut_+(A) + cut_+(A') -
+    # cut_+(A | A') and #boundary(S) = cut_-(S) + cut_+(S): beta's numerator
+    # is u(A) + u(A') + cut_-(A | A') with u = vol_- - cut_- + cut_+
+    N, P = (G.W < 0).astype(float), (G.W > 0).astype(float)
+    cut_n, vol_n = _tables(N, N.sum(axis=1))
+    cut_p, vol = _tables(P, K.up_degrees(d))
+    u = [int(v - c + cp) for v, c, cp in zip(vol_n, cut_n, cut_p)]
+    cut_n, vol = [int(c) for c in cut_n], [int(v) for v in vol]
     best, arg, count = None, [], 0
     # sub-partitions: the second part of a pair may be empty; families are
     # canonical with pair minima strictly increasing and the top element of
@@ -501,16 +464,9 @@ def simplicial_cheeger(K: SimplicialComplex, d: int, k: int = 1) -> CheegerRepor
 
     for fam in rec(total, k, 0):
         count += 1
-        worst = None
-        for a, b in fam:
-            if sum(deg[i] for i in mask_members(a | b)) == 0:
-                worst = np.inf
-                break
-            val = signed_beta(G, deg, a, b)
-            if worst is None or val > worst:
-                worst = val
-        if worst is None or worst is np.inf:
+        if any(vol[a | b] == 0 for a, b in fam):
             continue
+        worst = max(Fraction(u[a] + u[b] + cut_n[a | b], vol[a | b]) for a, b in fam)
         if best is None or worst < best:
             best, arg = worst, [fam]
     return CheegerReport(best, arg, count, f"simplicial-{k}-way-S{d}",

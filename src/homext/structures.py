@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .setfn import SetTupleFunction, mask_members, mask_of, popcount
+from .setfn import SetTupleFunction, full_mask, mask_members, mask_of, popcount
 
 
 class WeightedGraph:
@@ -85,31 +85,6 @@ class WeightedGraph:
             B[j, c] = 1.0
         return B
 
-    def cut_weight(self, mask: int) -> float:
-        total = 0.0
-        inside = mask_members(mask)
-        for i in inside:
-            for j in range(self.n):
-                if not (mask >> j) & 1:
-                    total += self.W[i, j]
-        return total
-
-    def edge_weight_between(self, a: int, b: int) -> float:
-        """Total weight of edges with one end in mask a, the other in mask b;
-        unordered edges counted once."""
-        total = 0.0
-        seen = set()
-        for i in mask_members(a):
-            for j in mask_members(b):
-                if i == j:
-                    continue
-                key = (min(i, j), max(i, j))
-                if key in seen:
-                    continue
-                seen.add(key)
-                total += self.W[i, j]
-        return total
-
     def components(self) -> list[int]:
         """Connected components as vertex masks."""
         seen = [False] * self.n
@@ -162,12 +137,11 @@ class WeightedGraph:
     # set-function views -------------------------------------------------
 
     def cut_function(self) -> SetTupleFunction:
-        """A |-> cut weight, exact Fractions when weights are integral."""
-        exact = np.array_equal(self.W, np.round(self.W))
-        def f(mask):
-            v = self.cut_weight(mask)
-            return Fraction(int(round(v))) if exact else v
-        return SetTupleFunction(self.n, 1, f)
+        """A |-> cut weight, ``ordered_edge_count``'s callback at (A, V - A):
+        a Fraction for integral weights, else np.float64 (0.0 at the empty
+        set and V)."""
+        count, full = self.ordered_edge_count().callback, full_mask(self.n)
+        return SetTupleFunction(self.n, 1, lambda mask: count(mask, full & ~mask))
 
     def ordered_edge_count(self) -> SetTupleFunction:
         """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B: a

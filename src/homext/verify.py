@@ -680,7 +680,8 @@ def suite_indicator(seed=42, functions=60) -> list[VerificationReport]:
         k = int(rng.integers(1, 4))
         f = rand_table(rng, n, k, lo=-9, hi=9)
         # integer indicators keep the arithmetic exact and fast
-        ind = [[(m >> i) & 1 for i in range(n)] for m in range(1 << n)]
+        ind = [[0] * n] + [r for _, rows, _, _ in cst.subset_tables(
+            np.zeros((n, n)), np.zeros(n), 1 << n) for r in rows.T.astype(int).tolist()]
         for masks in product(range(1 << n), repeat=k):
             got = extend.multilinear(f, [ind[m] for m in masks])
             want = f(*masks) if all(masks) else Fraction(0)
@@ -886,10 +887,10 @@ def suite_quasiconcave(seed=42, samples=200) -> list[VerificationReport]:
 def _intersecting_pair_max(A) -> Fraction:
     """max over intersecting vertex sets a, b of 1_a^T A 1_b / |a & b| for
     a 0/1 matrix A, from the int64 products E = I A I^T and K = I I^T of
-    the 2^n x n indicator matrix I; the float ratios only preselect the
-    candidates that are compared exactly."""
-    n = A.shape[0]
-    ind = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    the (2^n - 1) x n indicator matrix I of the nonempty sets; the float
+    ratios only preselect the candidates that are compared exactly."""
+    ind = np.concatenate([rows for _, rows, _, _ in cst.subset_tables(
+        A, A.sum(axis=1), 1 << A.shape[0])], axis=1).T.astype(np.int64)
     E = ind @ A.astype(np.int64) @ ind.T
     K = ind @ ind.T
     ratio = np.where(K > 0, E / np.maximum(K, 1), -np.inf)
@@ -907,8 +908,8 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
         A = (g.W != 0).astype(float)
         w, _ = spectra.jacobi_eigh(A)
         lam = w[-1]
-        avg_deg = max(np.max(np.einsum("ij,ij->i", I @ A, I) / I.sum(axis=1))
-                      for _, I in cst.subset_rows(g.n, 1 << g.n))
+        avg_deg = max(np.max((vol - cut) / rows.sum(axis=0))
+                      for _, rows, cut, vol in cst.subset_tables(A, A.sum(axis=1), 1 << g.n))
         max_deg = float(A.sum(axis=1).max())
         gap = _worst(avg_deg - lam, lam - max_deg)
         # comaximal side: sampled comaximal pairs never beat the discrete

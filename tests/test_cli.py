@@ -322,3 +322,22 @@ def test_cmd_spectrum_dinkelbach_rejects_p_below_one(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "", p
         assert "--p >= 1" in captured.err, p
+
+
+def test_cmd_cheeger_rejects_a_k_the_input_cannot_take(tmp_path, capsys):
+    # on the 3-vertex path, dual --k 2 and --k 0 printed None and kway --k 4
+    # ended in a traceback; on one edge, simplicial --k 3 printed None
+    p3 = write(tmp_path, "p3.graph", "3\n1 2 1\n2 3 1\n")
+    edge = write(tmp_path, "edge.complex", "1 2\n")
+    for argv in (["--variant", "dual", "--k", "2"], ["--variant", "dual", "--k", "0"],
+                 ["--variant", "kway", "--k", "4"], ["--variant", "plain", "--k", "4"]):
+        rc = main(["cheeger", "--input", p3] + argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", argv
+        assert "--k >= 1 and at most 3 sets" in captured.err, argv
+    for k in ("0", "3"):
+        rc = main(["cheeger", "--input", edge, "--variant", "simplicial", "--k", k])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and "at most 2 sets" in captured.err, k
+    rc = main(["cheeger", "--input", p3, "--variant", "dual", "--k", "1"])
+    assert rc == 0 and capsys.readouterr().out.startswith("1-way-dual: 1 ")

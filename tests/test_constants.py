@@ -2,6 +2,7 @@
 Motzkin-Straus, Lagrangians, simplicial constants and nodal domains."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def test_cheeger_reported_value_reevaluates():
         rep = cst.cheeger(g)
         a = rep.optimal_sets[0]
         total = (1 << g.n) - 1
-        again = Fraction(int(g.cut_weight(a))) / Fraction(
+        again = Fraction(int(cst._tables(g.W, g.degrees)[0][a])) / Fraction(
             int(min(vol(g, a), vol(g, total & ~a))))
         assert again == rep.value
 
@@ -58,10 +59,10 @@ def test_vol_over_degrees_read_once_equals_vol():
     H = ChemicalHypergraph(5, [(mask_of([0]), mask_of([1, 2])),
                                (mask_of([2, 3]), mask_of([4])),
                                (mask_of([1, 4]), mask_of([0, 3]))])
-    for obj in (g, H):
-        read_once = cst._vol_of(obj.degrees)
+    for obj, W in ((g, g.W), (H, np.zeros((H.n, H.n)))):
+        read_once = cst._tables(W, obj.degrees)[1]
         for m in range(1 << obj.n):
-            assert np.float64(read_once(m)).tobytes() == np.float64(vol(obj, m)).tobytes()
+            assert np.float64(read_once[m]).tobytes() == np.float64(vol(obj, m)).tobytes()
 
 def test_kway_cheeger_k5():
     k5 = WeightedGraph.complete(5)
@@ -74,7 +75,8 @@ def test_kway_k1_matches_min_single_ratio():
     rng = np.random.default_rng(1)
     g = WeightedGraph.erdos_renyi(6, 0.6, rng)
     rep1 = cst.k_way_cheeger(g, 1)
-    best = min(Fraction(int(g.cut_weight(a))) / Fraction(int(vol(g, a)))
+    cut = cst._tables(g.W, g.degrees)[0]
+    best = min(Fraction(int(cut[a])) / Fraction(int(vol(g, a)))
                for a in range(1, 1 << g.n) if vol(g, a) > 0)
     assert rep1.value == best
 
@@ -180,6 +182,14 @@ def test_lagrangian_single_edge():
     assert abs(rep.ascent_value - 1.0 / 27.0) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_lagrangian_without_hyperedges_starts_no_zero_point():
+    # the witness is the empty set; its indicator once started the ascent
+    # at 0 / 0
+    rep = cst.hypergraph_lagrangian(3, [])
+    assert (rep.discrete_value, rep.discrete_witness, rep.ascent_value) == (0, 0, 0.0)
+
+
 def test_lagrangian_ascent_at_least_subset_density():
     rng = np.random.default_rng(6)
     verts = list(range(6))
@@ -213,10 +223,39 @@ def test_chemical_cheeger_disconnected_zero():
     assert cst.chemical_cheeger(H).value == 0
 
 
+def _graphs(st, max_n):
+    """Graphs on 1..max_n vertices with every edge weight drawn from one
+    pool: near-integral weights are allclose to integers but not integral;
+    huge ones are integral, and sums past 2^53 are no longer exact."""
+    pools = {"integral": st.integers(0, 3).map(float),
+             "half-integral": st.integers(0, 6).map(lambda k: k / 2),
+             "float": st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+             "spread": st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
+             "tiny": st.sampled_from([0.0, 1e-9, 3e-9, 1.0]),
+             "near-integral": st.sampled_from([0.0, 1.0, 9999.91, 10000.09, 10000.1]),
+             "huge": st.sampled_from([0.0, 1.0, 3.0, 2.0 ** 53])}
+
+    @st.composite
+    def graph(draw):
+        n = draw(st.integers(1, max_n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pool = pools[draw(st.sampled_from(sorted(pools)))]
+        W = np.zeros((n, n))
+        for (i, j), w in zip(pairs, draw(st.lists(pool, min_size=len(pairs),
+                                                  max_size=len(pairs)))):
+            W[i, j] = W[j, i] = w
+        return WeightedGraph(W)
+
+    return graph()
+
+
+def _typed(v):
+    return type(v), repr(v)
+
+
 def _fields(rep):
     """Every CheegerReport field, the value by type and repr."""
-    return (type(rep.value), repr(rep.value), rep.optimal_sets, rep.enumerated,
-            rep.variant, rep.extra)
+    return _typed(rep.value), rep.optimal_sets, rep.enumerated, rep.variant, rep.extra
 
 
 @pytest.mark.parametrize("chunk", [7, cst.SUBSET_CHUNK])
@@ -249,26 +288,9 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
         g = WeightedGraph(W)
         assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
 
-    # near-integral: allclose to integers but not integral; huge: integral,
-    # and sums past 2^53 are no longer exact, so table and left-to-right
-    # sums may round apart
-    weights = {"integral": st.integers(0, 3).map(float),
-               "half-integral": st.integers(0, 6).map(lambda k: k / 2),
-               "float": st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
-               "spread": st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
-               "tiny": st.sampled_from([0.0, 1e-9, 3e-9, 1.0]),
-               "near-integral": st.sampled_from([0.0, 1.0, 9999.91, 10000.09, 10000.1]),
-               "huge": st.sampled_from([0.0, 1.0, 3.0, 2.0 ** 53])}
-
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @hyp.given(st.integers(1, 10), st.sampled_from(sorted(weights)), st.data())
-    def check_graph(n, kind, data):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ws = data.draw(st.lists(weights[kind], min_size=len(pairs), max_size=len(pairs)))
-        W = np.zeros((n, n))
-        for (i, j), w in zip(pairs, ws):
-            W[i, j] = W[j, i] = w
-        g = WeightedGraph(W)
+    @hyp.given(_graphs(st, 10))
+    def check_graph(g):
         assert _fields(cst.cheeger(g)) == _fields(cheeger_loop(g))
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -282,6 +304,78 @@ def test_cheeger_tables_match_the_per_mask_loops(monkeypatch, chunk):
 
     check_graph()
     check_chemical()
+
+
+@pytest.mark.parametrize("chunk", [7, cst.SUBSET_CHUNK])
+def test_enumerations_match_the_per_set_loops(monkeypatch, chunk):
+    # every constant read from the subset tables against the loops that
+    # summed each set's cut, volume, edge weights and signed edge counts
+    # one member at a time: values by type and repr, the optimal sets and
+    # the count, over every weight pool; chunks of 7 masks put chunk
+    # boundaries inside every enumeration
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    import reference_constants as ref
+    monkeypatch.setattr(cst, "SUBSET_CHUNK", chunk)
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hyp.given(_graphs(st, 7))
+    def check_graph(g):
+        exact = np.array_equal(g.W, np.round(g.W))
+        cut = g.cut_function()
+        for a in range(1 << g.n):
+            want = ref.cut_weight(g, a)
+            assert _typed(cut(a)) == _typed(Fraction(int(round(want))) if exact else want)
+        n6 = g.n <= 6
+        for k in range(1, min(g.n, 3 if n6 else 2) + 1):
+            assert _fields(cst.k_way_cheeger(g, k)) == _fields(ref.k_way_cheeger_loop(g, k))
+        for k in range(1, g.n // 2 + 1 if n6 else 2):
+            assert _fields(cst.dual_cheeger_k(g, k)) == _fields(ref.dual_cheeger_loop(g, k))
+        got, want = cst.maxcut(g), ref.maxcut_loop(g)
+        assert [_typed(v) for v in vars(got).values()] == [_typed(v) for v in vars(want).values()]
+        assert _typed(cst.motzkin_straus(g).max_subset_density) == \
+            _typed(ref.subset_density_loop(g))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 5), st.data())
+    def check_complex(nv, data):
+        faces = [list(c) for r in (2, 3) for c in combinations(range(nv), r)]
+        K = SimplicialComplex(data.draw(st.lists(st.sampled_from(faces), min_size=1,
+                                                 max_size=4)))
+        for d in range(K.dim):
+            nd = K.count(d)
+            for k in range(1, min(nd, 2 if nd <= 6 else 1) + 1):
+                assert _fields(cst.simplicial_cheeger(K, d, k)) == \
+                    _fields(ref.simplicial_cheeger_loop(K, d, k))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 8), st.integers(2, 4), st.data())
+    def check_hypergraph(n, k, data):
+        edges = data.draw(st.lists(st.sampled_from(list(combinations(range(n), k)) or [()]),
+                                   max_size=8, unique=True))
+        edges = [e for e in edges if e]
+        rep = cst.hypergraph_lagrangian(n, edges)
+        best, wit = ref.lagrangian_density_loop(n, edges)
+        assert (_typed(rep.discrete_value), _typed(rep.discrete_witness)) == \
+            (_typed(best), _typed(wit))
+
+    check_graph()
+    check_complex()
+    check_hypergraph()
+
+
+def test_kway_dual_and_simplicial_reject_a_k_they_cannot_take():
+    # k < 1, or more blocks than vertices or simplices: no family exists,
+    # which used to report a value of None (or, for k_way, only k > n raised)
+    p3, edge = WeightedGraph.path(3), SimplicialComplex([[0, 1]])
+    for call in (lambda: cst.k_way_cheeger(p3, 0), lambda: cst.k_way_cheeger(p3, 4),
+                 lambda: cst.dual_cheeger_k(p3, 0), lambda: cst.dual_cheeger_k(p3, 2),
+                 lambda: cst.simplicial_cheeger(edge, 0, 0),
+                 lambda: cst.simplicial_cheeger(edge, 0, 3)):
+        with pytest.raises(ValueError, match="blocks"):
+            call()
+    assert cst.dual_cheeger_k(p3, 1).value == 1
+    assert cst.simplicial_cheeger(edge, 0, 2).value is not None
 
 
 def test_near_integral_weights_give_cut_over_vol():
