@@ -1,20 +1,28 @@
-"""Command-line interface: parse input files, dispatch commands, and emit
+"""Command-line interface: read input files, dispatch commands, and print
 text or structured (JSON) reports.
 
-File formats are line-oriented with '#' comments and 1-based vertex ids;
-internally everything is 0-based, converted only at this boundary.
+Every input file goes through one line reader: '#' starts a comment and
+each line with content is a list of tokens.  Headers are positive
+integers, vertex ids run 1..n (0-based inside, converted only here), and
+every number is an integer or p/q (a Fraction) or a decimal (a float),
+finite either way; graph weights and tensor entries are stored as floats.
+A file, --x value or report JSON that cannot be used as written is
+refused with 'path:line: reason'.  Every report, of
+`verify` or read back by `report`, is printed by one formatter.
 Each command takes only the options it reads.
-Exit codes: 0 all verdicts pass, 1 some check failed, 2 cap exceeded,
-unreadable input, an unsupported option combination, or an option or
-value the command does not take (argparse's usage error), 3 solver did
-not converge.
+Exit codes: 0 all verdicts pass, 1 some check failed, 2 cap exceeded, an
+unusable input file, --x value or report JSON, an unsupported option
+combination, or an option or value the command does not take (argparse's
+usage error), 3 solver did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -22,16 +30,19 @@ import numpy as np
 from . import constants as cst
 from . import extend, spectra, verify
 from .setfn import CapExceeded, SetTupleFunction, mask_of
-from .structures import (ChemicalHypergraph, SimplicialComplex,
+from .structures import (ChemicalHypergraph, SignedGraph, SimplicialComplex,
                          SymmetricTensor, WeightedGraph, adjacency_tensor)
 
-KINDS = ("graph", "signed-graph", "chemical-hypergraph", "uniform-hypergraph",
-         "tensor", "complex", "setfn-table")
+KINDS = ("graph", "chemical-hypergraph", "uniform-hypergraph", "tensor",
+         "complex", "setfn-table")
 
 
 class ParseError(ValueError):
+    """Input that cannot be used as written: 'path:line: reason', or
+    'path: reason' when no one line is at fault."""
+
     def __init__(self, path, lineno, msg):
-        super().__init__(f"{path}:{lineno}: {msg}")
+        super().__init__(f"{path}:{lineno}: {msg}" if lineno else f"{path}: {msg}")
 
 
 def fmt(v) -> str:
@@ -46,141 +57,150 @@ def fmt(v) -> str:
     return str(v)
 
 
-def _content_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+@contextmanager
+def _at(path, lineno):
+    """Report a ValueError raised inside as a ParseError at this line."""
+    try:
+        yield
+    except ValueError as e:
+        raise ParseError(path, lineno, e) from None
+
+
+def _read(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as e:
+        raise ParseError(path, None, getattr(e, "strerror", None) or e) from None
+
+
+def _lines(path) -> list:
+    """(line number, tokens) of every line with content; '#' starts a comment."""
+    lines = [(lineno, tokens) for lineno, raw in enumerate(_read(path).split("\n"), 1)
+             if (tokens := raw.split("#", 1)[0].split())]
+    if not lines:
+        raise ParseError(path, 1, "empty input")
+    return lines
+
+
+def _ints(tokens, lo, hi=math.inf, what="vertex") -> list:
+    """The tokens as integers in lo..hi."""
+    out = []
+    for t in tokens:
+        try:
+            v = int(t)
+        except ValueError:
+            raise ValueError(f"{what} {t!r} is not an integer") from None
+        if not lo <= v <= hi:
+            raise ValueError(f"{what} {v} is below {lo}" if v < lo else
+                             f"{what} {v} is above {hi}")
+        out.append(v)
+    return out
+
+
+def _ids(tokens, n=math.inf, distinct=True) -> list:
+    """1-based vertex ids, at most n, as 0-based ints."""
+    ids = [v - 1 for v in _ints(tokens, 1, n)]
+    if distinct and len(set(ids)) < len(ids):
+        raise ValueError("vertex ids must be distinct")
+    return ids
+
+
+def _header(path, lineno, tokens, names) -> list:
+    """The header line as one positive integer per name in ``names``."""
+    with _at(path, lineno):
+        if len(tokens) != len(names.split()):
+            raise ValueError(f"expected the header '{names}'")
+        return _ints(tokens, 1, what="header entry")
+
+
+def _number(token):
+    """The one number rule: an integer or p/q token is a Fraction, any other
+    a float, and either must be finite."""
+    try:
+        v = Fraction(token) if "/" in token or "." not in token else float(token)
+        if math.isfinite(v):
+            return v
+    except (ArithmeticError, ValueError):      # p/0, or too large for a float
+        pass
+    raise ValueError(f"{token!r} is not a finite number")
 
 
 def parse_input(path: str, kind: str):
+    """The structure in the file at ``path``: a WeightedGraph, a
+    ChemicalHypergraph, (k, n, hyperedges) for a uniform hypergraph, a
+    SymmetricTensor (header 'k n'; a file with the header 'k' is a uniform
+    hypergraph and gives its adjacency tensor), a SimplicialComplex or a
+    SetTupleFunction.  Raises ParseError at the first line that cannot be
+    used as written."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    lines = list(_content_lines(path))
-    if not lines:
-        raise ParseError(path, 1, "empty input")
-
-    if kind in ("graph", "signed-graph"):
-        lineno, head = lines[0]
-        try:
-            n = int(head)
-        except ValueError:
-            raise ParseError(path, lineno, "expected the vertex count") from None
-        W = np.zeros((n, n))
-        for lineno, line in lines[1:]:
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(path, lineno, "expected 'i j [w]'")
-            try:
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise ParseError(path, lineno, "bad numbers") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ParseError(path, lineno, f"vertex out of range 1..{n}")
-            if kind == "graph" and w < 0:
-                raise ParseError(path, lineno, "graph weights must be >= 0")
-            W[i, j] = W[j, i] = w
-        from .structures import SignedGraph
-        return WeightedGraph(W) if kind == "graph" else SignedGraph(W)
-
-    if kind == "chemical-hypergraph":
-        lineno, head = lines[0]
-        try:
-            n = int(head)
-        except ValueError:
-            raise ParseError(path, lineno, "expected the vertex count") from None
-        edges = []
-        for lineno, line in lines[1:]:
-            if "|" not in line or not line.startswith("in:"):
-                raise ParseError(path, lineno, "expected 'in: i j | out: k l'")
-            left, right = line.split("|", 1)
-            right = right.strip()
-            if not right.startswith("out:"):
-                raise ParseError(path, lineno, "missing 'out:' part")
-            try:
-                ins = [int(t) - 1 for t in left[3:].split()]
-                outs = [int(t) - 1 for t in right[4:].split()]
-            except ValueError:
-                raise ParseError(path, lineno, "bad vertex id") from None
-            if any(not 0 <= v < n for v in ins + outs):
-                raise ParseError(path, lineno, f"vertex out of range 1..{n}")
-            edges.append((mask_of(ins), mask_of(outs)))
-        return ChemicalHypergraph(n, edges)
-
-    if kind == "uniform-hypergraph":
-        lineno, head = lines[0]
-        try:
-            k = int(head)
-        except ValueError:
-            raise ParseError(path, lineno, "expected the edge size k") from None
-        hyperedges = []
-        n = 0
-        for lineno, line in lines[1:]:
-            try:
-                verts = [int(t) - 1 for t in line.split()]
-            except ValueError:
-                raise ParseError(path, lineno, "bad vertex id") from None
-            if len(set(verts)) != k:
-                raise ParseError(path, lineno, f"edge must have {k} distinct vertices")
-            n = max(n, max(verts) + 1)
-            hyperedges.append(tuple(verts))
-        return k, n, hyperedges
-
-    if kind == "tensor":
-        lineno, head = lines[0]
-        parts = head.split()
-        if len(parts) != 2:
-            raise ParseError(path, lineno, "expected 'k n'")
-        k, n = int(parts[0]), int(parts[1])
-        T = SymmetricTensor(k, n)
-        for lineno, line in lines[1:]:
-            parts = line.split()
-            if len(parts) != k + 1:
-                raise ParseError(path, lineno, f"expected {k} indices and a value")
-            try:
-                idx = tuple(int(t) - 1 for t in parts[:k])
-                val = float(parts[k])
-            except ValueError:
-                raise ParseError(path, lineno, "bad entry") from None
-            if any(not 0 <= i < n for i in idx):
-                raise ParseError(path, lineno, f"index out of range 1..{n}")
-            T[idx] = val
-        return T
-
+    lines = _lines(path)
     if kind == "complex":
         maximal = []
-        for lineno, line in lines:
-            try:
-                verts = [int(t) - 1 for t in line.split()]
-            except ValueError:
-                raise ParseError(path, lineno, "bad vertex id") from None
-            if len(set(verts)) != len(verts) or not verts:
-                raise ParseError(path, lineno, "simplex needs distinct vertices")
-            maximal.append(verts)
+        for lineno, tokens in lines:
+            with _at(path, lineno):
+                maximal.append(_ids(tokens))
         return SimplicialComplex(maximal)
+    (lineno, head), body = lines[0], lines[1:]
 
-    # setfn-table
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(path, lineno, "expected 'k n'")
-    k, n = int(parts[0]), int(parts[1])
-    vals = {}
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != k + 1:
-            raise ParseError(path, lineno, f"expected {k} masks and a value")
-        try:
-            masks = tuple(int(t) for t in parts[:k])
-            raw = parts[k]
-            val = Fraction(raw) if "/" in raw or "." not in raw else float(raw)
-        except ValueError:
-            raise ParseError(path, lineno, "bad entry") from None
-        if any(not 0 <= m < (1 << n) for m in masks):
-            raise ParseError(path, lineno, "mask out of range")
-        vals[masks] = val
+    if kind == "uniform-hypergraph" or kind == "tensor" and len(head) == 1:
+        k, = _header(path, lineno, head, "k")
+        hyperedges = []
+        for lineno, tokens in body:
+            with _at(path, lineno):
+                if len(tokens) != k:
+                    raise ValueError(f"edge must have {k} distinct vertices")
+                hyperedges.append(tuple(_ids(tokens)))
+        n = max((max(e) + 1 for e in hyperedges), default=0)
+        if kind == "uniform-hypergraph":
+            return k, n, hyperedges
+        with _at(path, lineno):
+            return adjacency_tensor(n, hyperedges, k=k)
+
+    if kind == "graph":
+        n, = _header(path, lineno, head, "n")
+        W = np.zeros((n, n))
+        for lineno, tokens in body:
+            with _at(path, lineno):
+                if len(tokens) not in (2, 3):
+                    raise ValueError("expected 'i j [w]'")
+                i, j = _ids(tokens[:2], n)
+                w = float(_number(tokens[2])) if len(tokens) == 3 else 1.0
+                if w < 0:
+                    raise ValueError("graph weights must be >= 0")
+            W[i, j] = W[j, i] = w
+        return WeightedGraph(W)
+
+    if kind == "chemical-hypergraph":
+        n, = _header(path, lineno, head, "n")
+        edges = []
+        for lineno, tokens in body:
+            left, _, right = " ".join(tokens).partition("|")
+            right = right.strip()
+            with _at(path, lineno):
+                if not (left.startswith("in:") and right.startswith("out:")):
+                    raise ValueError("expected 'in: i j | out: k l'")
+                edge = mask_of(_ids(left[3:].split(), n)), mask_of(_ids(right[4:].split(), n))
+                edges += ChemicalHypergraph(n, [edge]).edges
+        return ChemicalHypergraph(n, edges)
+
+    k, n = _header(path, lineno, head, "k n")
+    if kind == "tensor":
+        T = SymmetricTensor(k, n)
+        for lineno, tokens in body:
+            with _at(path, lineno):
+                if len(tokens) != k + 1:
+                    raise ValueError(f"expected {k} indices and a value")
+                T[_ids(tokens[:k], n, distinct=False)] = float(_number(tokens[k]))
+        return T
+
+    vals, top = {}, (1 << n) - 1
+    for lineno, tokens in body:
+        with _at(path, lineno):
+            if len(tokens) != k + 1:
+                raise ValueError(f"expected {k} masks and a value")
+            vals[tuple(_ints(tokens[:k], 0, top, "mask"))] = _number(tokens[k])
     return SetTupleFunction(n, k, vals)
 
 
@@ -189,22 +209,28 @@ def parse_input(path: str, kind: str):
 # ---------------------------------------------------------------------------
 
 def _print_reports(reports, form) -> int:
+    """Print report dicts (``VerificationReport.to_dict()``, or read back
+    from JSON) as one JSON list or one line each; 0 if every verdict is
+    pass, else 1."""
     if form == "structured":
-        print(json.dumps([r.to_dict(include_runtime=False) for r in reports],
-                         indent=2, sort_keys=True))
+        print(json.dumps(reports, indent=2, sort_keys=True))
     else:
         for r in reports:
-            print(f"[{r.verdict.upper():4s}] {r.check_id:28s} gap={fmt(r.gap)} "
-                  f"tol={fmt(r.tolerance)}  ({r.instance})")
-    return 0 if all(r.verdict == "pass" for r in reports) else 1
+            print(f"[{str(r['verdict']).upper():4s}] {r['check_id']!s:28} "
+                  f"gap={fmt(r['gap'])} tol={fmt(r['tolerance'])}  ({r['instance']})")
+    return 0 if all(r["verdict"] == "pass" for r in reports) else 1
 
 
 def cmd_extend_eval(args) -> int:
     f = parse_input(args.input, "setfn-table")
-    blocks = [b for b in args.x.split(";") if b.strip()]
-    xs = [[Fraction(t) if "/" in t or "." not in t else float(t)
-           for t in b.split(",")] for b in blocks]
-    if len(xs) == 1 and f.k == 1:
+    want = 1 if args.diagonal else f.k
+    try:
+        xs = [[_number(t) for t in b.split(",")] for b in args.x.split(";") if b.strip()]
+    except ValueError as e:
+        raise ParseError(args.input, None, f"--x: {e}") from None
+    if len(xs) != want or any(len(x) != f.n for x in xs):
+        raise ParseError(args.input, None, f"--x needs {want} block(s) of {f.n} coordinates")
+    if f.k == 1:
         val = extend.lovasz(f, xs[0])
     elif args.diagonal:
         val = extend.diagonal(f, xs[0])
@@ -216,14 +242,7 @@ def cmd_extend_eval(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.mode == "tensor-cw":
-        # a tensor file's header is 'k n', a uniform hypergraph's is 'k'
-        lines = list(_content_lines(args.input))
-        if lines and len(lines[0][1].split()) == 2:
-            T = parse_input(args.input, "tensor")
-        else:
-            k, n, he = parse_input(args.input, "uniform-hypergraph")
-            T = adjacency_tensor(n, he, k=k)
-        rep = spectra.collatz_wielandt_max(T)
+        rep = spectra.collatz_wielandt_max(parse_input(args.input, "tensor"))
         print(f"lambda_max = {fmt(rep.lam)}  certificate=[{fmt(rep.lo)}, {fmt(rep.hi)}]"
               f"  converged={rep.converged}")
         return 0 if rep.converged else 3
@@ -267,6 +286,10 @@ def cmd_cheeger(args) -> int:
     else:
         if args.variant == "simplicial":
             K = parse_input(args.input, "complex")
+            if not 0 <= args.d < K.dim:
+                print(f"cheeger --variant simplicial needs 0 <= --d < {K.dim}, the top "
+                      f"dimension, got --d {args.d}", file=sys.stderr)
+                return 2
             k, blocks, size = args.k, args.k, K.count(args.d)
         else:
             g = parse_input(args.input, "graph")
@@ -308,19 +331,14 @@ def cmd_lagrangian(args) -> int:
 def cmd_complex_spec(args) -> int:
     K = parse_input(args.input, "complex")
     d = args.d
-    deg = K.up_degrees(d)
-    keep = [i for i in range(K.count(d)) if deg[i] > 0]
-    if not keep:
+    up = K.restricted_up_pair(d)
+    if up is None:
         print(f"no d={d} simplices with cofaces")
         return 0
-    B = K.boundary_matrix(d + 1)[keep, :]
-    D = np.diag(deg[keep])
-    w, _ = spectra.quadratic_pair_spectrum(B @ B.T, D)
+    keep, B, deg, Wr = up
+    w, _ = spectra.quadratic_pair_spectrum(B @ B.T, np.diag(deg))
     print(f"S_{d}: {K.count(d)} simplices ({len(keep)} with cofaces)")
     print("up-Laplacian eigenvalues:", fmt(list(w)))
-    G = K.anti_signed_graph(d)
-    Wr = G.W[np.ix_(keep, keep)]
-    from .structures import SignedGraph
     bal, _ = SignedGraph(Wr).balanced_components()
     print(f"balanced anti-signed components: {bal} "
           f"(multiplicity of eigenvalue {d + 2}: "
@@ -332,21 +350,22 @@ def cmd_complex_spec(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = verify.run_inequality_suites(args.suite, seed=args.seed)
-    except CapExceeded as e:
-        print(f"cap exceeded: {e}", file=sys.stderr)
-        return 2
-    return _print_reports(reports, args.format)
+    reports = verify.run_inequality_suites(args.suite, seed=args.seed)
+    return _print_reports([r.to_dict() for r in reports], args.format)
 
 
 def cmd_report(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    for r in data:
-        print(f"[{r['verdict'].upper():4s}] {r['check_id']:28s} "
-              f"gap={fmt(r['gap'])} tol={fmt(r['tolerance'])}  ({r['instance']})")
-    return 0 if all(r["verdict"] == "pass" for r in data) else 1
+    try:
+        reports = json.loads(_read(args.input))
+    except json.JSONDecodeError as e:
+        raise ParseError(args.input, e.lineno, e.msg) from None
+    if not isinstance(reports, list) or not all(isinstance(r, dict) for r in reports):
+        raise ParseError(args.input, None, "expected a list of report objects")
+    for i, r in enumerate(reports, 1):
+        for key in ("check_id", "gap", "instance", "tolerance", "verdict"):
+            if key not in r:
+                raise ParseError(args.input, None, f"report {i} lacks {key!r}")
+    return _print_reports(reports, "text")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -118,7 +118,7 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
     if not g.is_connected():
         comp = g.components()[0]
         return CheegerReport(Fraction(0), [comp], 0, "cheeger")
-    integral = np.array_equal(g.W, np.round(g.W))
+    integral = g.integral
     d, total = g.degrees, full_mask(g.n)
     tables = ((masks, cut, np.minimum(vol, _member_sum(~rows, d)))
               for masks, rows, cut, vol in subset_tables(g.W, d, total))
@@ -156,7 +156,7 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
     _check_blocks(k, k, g.n, "vertices")
-    integral = np.array_equal(g.W, np.round(g.W))
+    integral = g.integral
     ratio = [_ratio(c, v, integral) for c, v in zip(*_tables(g.W, g.degrees))]
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, k):
@@ -173,7 +173,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
     if g.n > KWAY_CAP:
         raise CapExceeded(f"k-way enumeration capped at n <= {KWAY_CAP}")
     _check_blocks(k, 2 * k, g.n, "vertices")
-    integral = np.array_equal(g.W, np.round(g.W))
+    integral = g.integral
     E, vol = g.ordered_edge_count().callback, _tables(g.W, g.degrees)[1]
     best, arg, count = None, [], 0
     for blocks in _disjoint_tuples(g.n, 2 * k):

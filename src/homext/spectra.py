@@ -226,7 +226,6 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
     Piecewise linear and 1-homogeneous; the linearity cells are simplicial
     cones on ternary rays, so ternary enumeration is exact for this pair.
     """
-    W = graph.W
     deg = graph.degrees
     edges = graph.edges()
     sgn = 1.0 if signless else -1.0
@@ -260,7 +259,7 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
 
     exactF = None
     exactG = None
-    if np.array_equal(W, np.round(W)):
+    if graph.integral:
         # integer weights, rounded once; int coordinates stay int and only
         # the total becomes a Fraction
         isgn = 1 if signless else -1

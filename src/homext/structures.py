@@ -70,6 +70,11 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return self.W.sum(axis=1)
 
+    @property
+    def integral(self) -> bool:
+        """Every weight is an integer, so values built from them are exact."""
+        return np.array_equal(self.W, np.round(self.W))
+
     def laplacian(self) -> np.ndarray:
         return np.diag(self.degrees) - self.W
 
@@ -146,7 +151,7 @@ class WeightedGraph:
     def ordered_edge_count(self) -> SetTupleFunction:
         """f(A, B) = number of ordered adjacent pairs (i, j), i in A, j in B: a
         Fraction for integral weights, else np.float64 (0.0 if A or B is empty)."""
-        exact = np.array_equal(self.W, np.round(self.W))
+        exact = self.integral
         rows = self.W.tolist()
         def f(a, b):
             js = mask_members(b)
@@ -396,6 +401,18 @@ class SimplicialComplex:
                 face = s[:j] + s[j + 1:]
                 deg[idx[face]] += 1
         return deg
+
+    def restricted_up_pair(self, d: int):
+        """(keep, B, deg, W) on the d-simplices with a coface, at indices
+        keep: the rows of B_{d+1}, the up-degrees and the anti-signed
+        graph's weights (zero-degree simplices have no normalized
+        spectrum); None unless 0 <= d < dim, where none has a coface."""
+        if not 0 <= d < self.dim:
+            return None
+        deg = self.up_degrees(d)
+        keep = [i for i in range(self.count(d)) if deg[i] > 0]
+        W = self.anti_signed_graph(d).W[np.ix_(keep, keep)]
+        return keep, self.boundary_matrix(d + 1)[keep, :], deg[keep], W
 
     def anti_signed_graph(self, d: int) -> SignedGraph:
         """Graph on the d-simplices; two are adjacent iff they share a

@@ -10,7 +10,6 @@ fractional program per ordering cone, solved by linear programs.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +52,9 @@ def _worst(*terms):
 
 @dataclass
 class VerificationReport:
+    """One check on one instance: the two sides compared (or None), the
+    gap and the tolerance it is held to, the verdict and extra data.  No
+    field depends on the clock, so reruns at one seed give equal reports."""
     check_id: str
     anchor: str
     instance: str
@@ -61,19 +63,17 @@ class VerificationReport:
     gap: float
     tolerance: float
     verdict: str              # "pass" | "fail" | "skip"
-    runtime: float
     extra: dict = field(default_factory=dict)
 
     @staticmethod
-    def make(check_id, anchor, instance, lhs, rhs, gap, tol, t0, extra=None):
+    def make(check_id, anchor, instance, lhs, rhs, gap, tol, extra=None):
         verdict = "pass" if gap <= tol else "fail"
         return VerificationReport(check_id, anchor, instance, lhs, rhs,
-                                  float(gap), float(tol), verdict,
-                                  time.perf_counter() - t0, extra or {})
+                                  float(gap), float(tol), verdict, extra or {})
 
-    def to_dict(self, include_runtime: bool = True):
-        """Serializable report; drop the volatile runtime for the stable
-        (byte-identical under reruns) structured stream."""
+    def to_dict(self):
+        """The report as JSON-ready data, the structured stream of ``homext
+        verify``: byte-identical under reruns with the same seed."""
         def conv(v):
             if isinstance(v, Fraction):
                 return f"{v.numerator}/{v.denominator}"
@@ -85,16 +85,13 @@ class VerificationReport:
                 items = [conv(t) for t in v]
                 return items if isinstance(v, list) else tuple(items)
             return v
-        out = {
+        return {
             "check_id": self.check_id, "anchor": self.anchor,
             "instance": self.instance, "lhs": conv(self.lhs),
             "rhs": conv(self.rhs), "gap": self.gap,
             "tolerance": self.tolerance, "verdict": self.verdict,
             "extra": {k: conv(v) for k, v in self.extra.items()},
         }
-        if include_runtime:
-            out["runtime"] = round(self.runtime, 6)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +417,6 @@ def check_saddle_transfer(f: SetTupleFunction, g: SetTupleFunction,
     continuous inf sup.  When the discrete saddle exists (minimax =
     maximin), both continuous values must also equal it.
     """
-    t0 = time.perf_counter()
     dmm, dmx = discrete_minimax(f, g)
     dmm = float(dmm) if dmm is not None else None
     dmx = float(dmx) if dmx is not None else None
@@ -439,8 +435,7 @@ def check_saddle_transfer(f: SetTupleFunction, g: SetTupleFunction,
         extra["saddle_transferred"] = True
     anchor = "saddle transfer: discrete minimax = maximin implies the " \
              "extension minimax agrees; always maximin <= cont <= minimax"
-    return VerificationReport.make(check_id, anchor, f"n={f.n}", cis, csi,
-                                   gap, tol, t0, extra)
+    return VerificationReport.make(check_id, anchor, f"n={f.n}", cis, csi, gap, tol, extra)
 
 
 def check_sion_case(f: SetTupleFunction, g: SetTupleFunction,
@@ -451,7 +446,6 @@ def check_sion_case(f: SetTupleFunction, g: SetTupleFunction,
     The extension never reads entries at tuples with an empty component,
     so the structure is checked on the effective function that vanishes
     there; a table violating that convention is skipped, not failed."""
-    t0 = time.perf_counter()
     feff = SetTupleFunction(f.n, 2, lambda a, b: f(a, b) if a and b else 0)
     geff = SetTupleFunction(g.n, 2, lambda a, b: g(a, b) if a and b else 0)
     ok = (setfn.submodularity_check(feff, 0)
@@ -464,12 +458,12 @@ def check_sion_case(f: SetTupleFunction, g: SetTupleFunction,
     anchor = "convex-concave extension minimax equals maximin (Sion)"
     if not ok:
         return VerificationReport(check_id, anchor, f"n={f.n}", None, None,
-                                  np.inf, TOL_SION, "skip", time.perf_counter() - t0)
+                                  np.inf, TOL_SION, "skip")
     engine = TwoBlockMinimax(f, g)
     cis, csi = engine.infsup(), engine.supinf()
     dmm, dmx = discrete_minimax(f, g)
     return VerificationReport.make(
-        check_id, anchor, f"n={f.n}", cis, csi, abs(cis - csi), TOL_SION, t0,
+        check_id, anchor, f"n={f.n}", cis, csi, abs(cis - csi), TOL_SION,
         {"discrete_minimax": dmm, "discrete_maximin": dmx})
 
 
@@ -505,7 +499,6 @@ def check_indicator_and_equalities(f: SetTupleFunction, g: SetTupleFunction,
     Every sample's nonempty multiple upper level sets must lie in the
     range family; ``outside_family`` counts the samples where one does not.
     """
-    t0 = time.perf_counter()
     n, k = f.n, f.k
     if family == "full":
         tuples = list(product(range(1, 1 << n), repeat=k))
@@ -548,7 +541,7 @@ def check_indicator_and_equalities(f: SetTupleFunction, g: SetTupleFunction,
              "pair is the discrete one; the witness indicator attains the max"
     return VerificationReport.make(
         check_id, anchor, f"n={n},k={k},{family}", float(attained),
-        float(dmax), gap, TOL_SLACK, t0,
+        float(dmax), gap, TOL_SLACK,
         {"discrete_min": float(dmin), "witness": witness, "outside_family": outside})
 
 
@@ -558,7 +551,6 @@ def check_quasiconcave_composition(fs: list[SetTupleFunction], kind="product",
     """H(f_1(A), ..., f_m(A)) with H = P/(sum)^d for a log-concave P:
     the discrete minimum over sets equals the continuous infimum over the
     positive orthant; sampled values never drop below the discrete min."""
-    t0 = time.perf_counter()
     n = fs[0].n
     m = len(fs)
 
@@ -599,7 +591,7 @@ def check_quasiconcave_composition(fs: list[SetTupleFunction], kind="product",
     anchor = "zero-homogeneous quasi-concave composition of extensions " \
              "attains its infimum at a set indicator"
     return VerificationReport.make(check_id, anchor, f"n={n},m={m},{kind}",
-                                   dmin, attained, worst, TOL_SLACK, t0,
+                                   dmin, attained, worst, TOL_SLACK,
                                    {"witness": wit})
 
 
@@ -671,7 +663,6 @@ def rand_table(rng, n, k, lo=0, hi=9) -> SetTupleFunction:
 def suite_indicator(seed=42, functions=60) -> list[VerificationReport]:
     """Extensions at indicator tuples reproduce the table exactly
     (rational arithmetic; empty components carry the zero convention)."""
-    t0 = time.perf_counter()
     rng = _rng(seed, "indicator")
     worst_fail = 0
     total = 0
@@ -692,7 +683,7 @@ def suite_indicator(seed=42, functions=60) -> list[VerificationReport]:
         "indicator-consistency",
         "extension at indicators equals the table exactly",
         f"{functions} random tables, n<=5, k<=3", total, total - worst_fail,
-        float(worst_fail), 0.0, t0, {"tuples_checked": total})
+        float(worst_fail), 0.0, {"tuples_checked": total})
     return [rep]
 
 
@@ -757,12 +748,11 @@ def suite_tables(seed=42, points=100) -> list[VerificationReport]:
     rows.append(("linf-product", row_linf))
 
     for name, fn in rows:
-        t0 = time.perf_counter()
         worst = _worst(*(fn() for _ in range(points)))
         out.append(VerificationReport.make(
             f"closed-form-{name}",
             "extension matches its closed form", f"{points} random points",
-            None, None, worst, 1e-12, t0))
+            None, None, worst, 1e-12))
     return out
 
 
@@ -786,7 +776,6 @@ def suite_saddle(seed=42, games=20) -> list[VerificationReport]:
     """The path-graph counterexample plus random payoff games against the
     game LP value."""
     out = []
-    t0 = time.perf_counter()
     g3 = WeightedGraph.path(3)
     f = g3.ordered_edge_count()
     gfun = SetTupleFunction(3, 2, lambda a, b: Fraction(popcount(a & b)))
@@ -798,13 +787,12 @@ def suite_saddle(seed=42, games=20) -> list[VerificationReport]:
     rep = VerificationReport.make(
         "saddle-path3", "path on three vertices: discrete (2, 1), "
         "continuous minimax sqrt(2) both ways", "P3",
-        rep.extra["cont_infsup"], float(np.sqrt(2.0)), gap, 1e-8, t0,
+        rep.extra["cont_infsup"], float(np.sqrt(2.0)), gap, 1e-8,
         rep.extra)
     out.append(rep)
 
     rng = _rng(seed, "saddle-games")
     for idx in range(games):
-        t0 = time.perf_counter()
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         C = rng.integers(-4, 5, size=(n, m)).astype(float)
         fv = [[sum(C[i, j] for i in mask_members(a) for j in mask_members(b))
@@ -818,7 +806,7 @@ def suite_saddle(seed=42, games=20) -> list[VerificationReport]:
         out.append(VerificationReport.make(
             "saddle-game", "payoff-game extension minimax equals the game "
             "LP value both ways", f"game #{idx} {n}x{m}", cis, v, gap,
-            TOL_ITER, t0, {"supinf": csi}))
+            TOL_ITER, {"supinf": csi}))
     return out
 
 
@@ -827,7 +815,6 @@ def suite_sion(seed=42, instances=5) -> list[VerificationReport]:
     rng = _rng(seed, "sion")
     n = 4
     # bilinear game: modular f, equals the LP value
-    t0 = time.perf_counter()
     C = rng.integers(-3, 4, size=(n, n)).astype(float)
     f = SetTupleFunction(n, 2, lambda a, b: sum(
         C[i, j] for i in mask_members(a) for j in mask_members(b)))
@@ -837,7 +824,7 @@ def suite_sion(seed=42, instances=5) -> list[VerificationReport]:
     gap = _worst(rep.gap, abs(float(rep.lhs) - v))
     out.append(VerificationReport.make(
         "sion-bilinear", "modular payoff case equals the game LP value",
-        "4x4 game", rep.lhs, v, gap, TOL_SION, t0, rep.extra))
+        "4x4 game", rep.lhs, v, gap, TOL_SION, rep.extra))
     for idx in range(instances):
         gG = rand_connected_graph(rng, n, n)
         gH = rand_connected_graph(rng, n, n)
@@ -862,13 +849,12 @@ def suite_quasiconcave(seed=42, samples=200) -> list[VerificationReport]:
     n = 4
     # equal arguments: the ratio is identically 1/4
     f1 = rand_table(rng, n, 1, lo=1, hi=9)
-    t0 = time.perf_counter()
     rep = check_quasiconcave_composition([f1, f1], kind="product",
                                          check_id="quasiconcave-equal",
                                          samples=samples, seed=seed)
     out.append(VerificationReport.make(
         rep.check_id, rep.anchor, rep.instance, rep.lhs, rep.rhs,
-        _worst(rep.gap, abs(float(rep.lhs) - 0.25)), rep.tolerance, t0, rep.extra))
+        _worst(rep.gap, abs(float(rep.lhs) - 0.25)), rep.tolerance, rep.extra))
     # random monotone tables
     for idx in range(3):
         fs = []
@@ -903,7 +889,6 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
     out = []
     rng = _rng(seed, "spectral-radius")
     for idx in range(instances):
-        t0 = time.perf_counter()
         g = rand_connected_graph(rng, 4, 8)
         A = (g.W != 0).astype(float)
         w, _ = spectra.jacobi_eigh(A)
@@ -927,7 +912,7 @@ def suite_spectral_radius(seed=42, instances=8) -> list[VerificationReport]:
             "spectral-radius-sandwich",
             "max induced average degree <= lambda_max <= max degree; "
             "comaximal samples stay below the intersecting-pair max",
-            f"graph #{idx} n={g.n}", avg_deg, max_deg, gap, TOL_SLACK, t0,
+            f"graph #{idx} n={g.n}", avg_deg, max_deg, gap, TOL_SLACK,
             {"lambda_max": lam, "comaximal_discrete_max": float(disc)}))
     return out
 
@@ -937,7 +922,6 @@ def suite_cheeger_graph(seed=42, instances=50) -> list[VerificationReport]:
     out = []
     rng = _rng(seed, "cheeger-graph")
     worst = -np.inf
-    t0 = time.perf_counter()
     checked = 0
     for _ in range(instances):
         g = rand_connected_graph(rng, 4, 10)
@@ -949,8 +933,7 @@ def suite_cheeger_graph(seed=42, instances=50) -> list[VerificationReport]:
         checked += 1
     out.append(VerificationReport.make(
         "cheeger-graph", "h^2/2 <= lambda_2 <= 2h (normalized Laplacian)",
-        f"{checked} random connected graphs, n<=10", None, None,
-        worst, TOL_SLACK, t0))
+        f"{checked} random connected graphs, n<=10", None, None, worst, TOL_SLACK))
     return out
 
 
@@ -971,7 +954,6 @@ def suite_cheeger_chemical(seed=42, instances=6, ps=(1.5, 2.0),
         wit = crep.optimal_sets[0]
         ind = np.array([(wit >> i) & 1 for i in range(H.n)], dtype=float)
         for p in ps:
-            t0 = time.perf_counter()
             pair = spectra.chemical_plap_pair(H, p)
             proj = spectra.projection_diag_power(H.degrees, p, np.ones(H.n))
             ep = spectra.dinkelbach_multistart(
@@ -984,8 +966,7 @@ def suite_cheeger_chemical(seed=42, instances=6, ps=(1.5, 2.0),
             out.append(VerificationReport.make(
                 "cheeger-chemical",
                 "h^p/p^p <= lambda_2 estimate <= 2^{p-1} h",
-                f"hypergraph #{idx} n={H.n} p={p}", h, lam, gap, TOL_ITER,
-                t0, {"monotone": mono}))
+                f"hypergraph #{idx} n={H.n} p={p}", h, lam, gap, TOL_ITER, {"monotone": mono}))
     return out
 
 
@@ -994,7 +975,6 @@ def suite_nodal_inertia(seed=42, instances=30) -> list[VerificationReport]:
     the adjacency matrix, and the support-component nodal bound."""
     out = []
     rng = _rng(seed, "nodal-inertia")
-    t0 = time.perf_counter()
     worst_inertia = -np.inf
     worst_nodal = -np.inf
     for _ in range(instances):
@@ -1023,11 +1003,11 @@ def suite_nodal_inertia(seed=42, instances=30) -> list[VerificationReport]:
     rep1 = VerificationReport.make(
         "inertia-bound", "alpha <= min(#{lam <= c}, #{lam >= c}) at the "
         "flat level of the pair", f"{instances} graphs", None, None,
-        float(worst_inertia), 0.0, t0)
+        float(worst_inertia), 0.0)
     rep2 = VerificationReport.make(
         "nodal-count-bound", "support components of an eigenvector of "
         "lambda_k with multiplicity r <= min(k + r - 1, n - k + r)",
-        f"{instances} graphs", None, None, float(worst_nodal), 0.0, t0)
+        f"{instances} graphs", None, None, float(worst_nodal), 0.0)
     return [rep1, rep2]
 
 
@@ -1036,7 +1016,6 @@ def suite_bipartite(seed=42, instances=20) -> list[VerificationReport]:
     plus the 1-Laplacian ternary check on an even cycle."""
     out = []
     rng = _rng(seed, "bipartite")
-    t0 = time.perf_counter()
     fails = 0
     for idx in range(instances):
         if idx % 3 == 0:
@@ -1055,10 +1034,9 @@ def suite_bipartite(seed=42, instances=20) -> list[VerificationReport]:
     rep = VerificationReport.make(
         "bipartite-signless", "Laplacian and signless spectra coincide "
         "iff the graph is bipartite", f"{instances} graphs", None, None,
-        float(fails), 0.0, t0)
+        float(fails), 0.0)
     out.append(rep)
 
-    t0 = time.perf_counter()
     c4 = WeightedGraph.cycle(4)
     s1 = spectra.ternary_eigen_enumerate(spectra.one_laplacian_pair(c4), 4)
     s2 = spectra.ternary_eigen_enumerate(
@@ -1068,7 +1046,7 @@ def suite_bipartite(seed=42, instances=20) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "bipartite-one-laplacian", "signless and plain 1-Laplacian spectra "
         "coincide on an even cycle", "C4", s1.eigenvalues, s2.eigenvalues,
-        gap, 0.0, t0))
+        gap, 0.0))
     return out
 
 
@@ -1084,38 +1062,23 @@ def rand_bipartite_graph(rng, n) -> WeightedGraph:
             return g
 
 
-def _restricted_up_pair(K: SimplicialComplex, d: int):
-    """Up Laplacian pair and anti-signed graph on positive-degree
-    d-simplices (zero-degree simplices have no normalized spectrum)."""
-    deg = K.up_degrees(d)
-    keep = [i for i in range(K.count(d)) if deg[i] > 0]
-    B = K.boundary_matrix(d + 1)[keep, :]
-    D = np.diag(deg[keep])
-    G = K.anti_signed_graph(d)
-    Wr = G.W[np.ix_(keep, keep)]
-    return B, D, Wr, deg[keep], keep
-
-
 def suite_simplicial(seed=42, instances=30) -> list[VerificationReport]:
     """Per-index identity between the up-Laplacian spectrum on d-simplices
     and the normalized spectrum of the anti-signed graph; multiplicity of
     the top value counts balanced components; zero multiplicity >= d + 1."""
     out = []
     rng = _rng(seed, "simplicial")
-    t0 = time.perf_counter()
     worst_id = 0.0
     worst_mult = 0
     worst_zero = 0
     for _ in range(instances):
         K = rand_two_complex(rng)
         for d in (0, 1):
-            if K.count(d) == 0 or d + 1 > K.dim:
+            up = K.restricted_up_pair(d)
+            if up is None:
                 continue
-            B, D, Wr, degr, keep = _restricted_up_pair(K, d)
-            if len(keep) == 0:
-                continue
-            nk = len(keep)
-            wup, _ = spectra.quadratic_pair_spectrum(B @ B.T, D)
+            _, B, degr, Wr = up
+            wup, _ = spectra.quadratic_pair_spectrum(B @ B.T, np.diag(degr))
             dt = (d + 1) * degr
             Lsg = np.diag(dt) - Wr
             wsg, _ = spectra.quadratic_pair_spectrum(Lsg, np.diag(dt))
@@ -1125,21 +1088,19 @@ def suite_simplicial(seed=42, instances=30) -> list[VerificationReport]:
             mult_top = int(np.sum(np.abs(wup - (d + 2)) <= 1e-8))
             worst_mult = _worst(worst_mult, abs(mult_top - bal))
             mult_zero = int(np.sum(np.abs(wup) <= 1e-8))
-            if d + 1 <= K.dim and K.count(d + 1) > 0:
-                worst_zero = _worst(worst_zero, (d + 1) - mult_zero)
+            worst_zero = _worst(worst_zero, (d + 1) - mult_zero)
     out.append(VerificationReport.make(
         "simplicial-up-identity", "d+2 - lambda_{n-i+1}(up) = (d+1) * "
         "lambda_i(anti-signed normalized Laplacian)",
-        f"{instances} random 2-complexes", None, None, worst_id, TOL_EXACT, t0))
+        f"{instances} random 2-complexes", None, None, worst_id, TOL_EXACT))
     out.append(VerificationReport.make(
         "balance-multiplicity", "multiplicity of the eigenvalue d+2 equals "
         "the number of balanced anti-signed components",
-        f"{instances} random 2-complexes", None, None, float(worst_mult),
-        0.0, t0))
+        f"{instances} random 2-complexes", None, None, float(worst_mult), 0.0))
     out.append(VerificationReport.make(
         "zero-multiplicity", "eigenvalue zero of the up Laplacian has "
         "multiplicity at least d+1", f"{instances} random 2-complexes",
-        None, None, float(worst_zero), 0.0, t0))
+        None, None, float(worst_zero), 0.0))
     return out
 
 
@@ -1147,7 +1108,6 @@ def suite_huang(seed=42, ms=(2, 3, 4)) -> list[VerificationReport]:
     """Signed hypercube squares and the induced-subgraph degree bound."""
     out = []
     for m in ms:
-        t0 = time.perf_counter()
         Wp = huang_signing(m)
         sq_ok = np.array_equal(Wp @ Wp, m * np.eye(2 ** m, dtype=np.int64))
         cube = hypercube(m)
@@ -1164,7 +1124,7 @@ def suite_huang(seed=42, ms=(2, 3, 4)) -> list[VerificationReport]:
             "huang-degree", "signed square is m*I; any induced subgraph on "
             "2^{m-1}+1 cube vertices has max degree >= sqrt(m)",
             f"m={m}", float(np.sqrt(m)), float(worst_deg), gap, TOL_SLACK,
-            t0, {"square_exact": sq_ok}))
+            {"square_exact": sq_ok}))
     return out
 
 
@@ -1172,7 +1132,6 @@ def suite_k5(seed=42) -> list[VerificationReport]:
     """K5 1-Laplacian: ternary spectrum {0, 3/4, 1}; k-way Cheeger values
     h2 = 3/4, h3 = 1; the strict third-eigenvalue instance 3/4 < 1."""
     out = []
-    t0 = time.perf_counter()
     k5 = WeightedGraph.complete(5)
     pair = spectra.one_laplacian_pair(k5)
     spec = spectra.ternary_eigen_enumerate(pair, 5)
@@ -1181,8 +1140,7 @@ def suite_k5(seed=42) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "k5-ternary-spectrum", "1-Laplacian eigenvalues of K5 are 0, 3/4, 1",
         "K5", [str(v) for v in spec.eigenvalues], [str(v) for v in want],
-        gap, 0.0, t0, {"exact_domain": spec.exact_for_pair}))
-    t0 = time.perf_counter()
+        gap, 0.0, {"exact_domain": spec.exact_for_pair}))
     h2 = cst.k_way_cheeger(k5, 2).value
     h3 = cst.k_way_cheeger(k5, 3).value
     gap = 0.0 if (h2 == Fraction(3, 4) and h3 == Fraction(1)) else 1.0
@@ -1190,7 +1148,7 @@ def suite_k5(seed=42) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "k5-kway-cheeger", "h_2 = 3/4 and h_3 = 1 on K5; the third "
         "eigenvalue 3/4 is strictly below h_3",
-        "K5", str(h2), str(h3), gap + (0.0 if strict else 1.0), 0.0, t0,
+        "K5", str(h2), str(h3), gap + (0.0 if strict else 1.0), 0.0,
         {"lambda_3": "3/4", "strict": strict}))
     return out
 
@@ -1200,7 +1158,6 @@ def suite_cw(seed=42, instances=20) -> list[VerificationReport]:
     eigenvalue, the path-graph value sqrt(2), and a tensor case."""
     out = []
     rng = _rng(seed, "cw")
-    t0 = time.perf_counter()
     worst = 0.0
     cert = 0.0
     for _ in range(instances):
@@ -1214,22 +1171,19 @@ def suite_cw(seed=42, instances=20) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "collatz-wielandt", "certified power value equals the top "
         "eigenvalue of the nonnegative symmetric matrix",
-        f"{instances} random matrices", None, None, worst, TOL_ITER, t0,
+        f"{instances} random matrices", None, None, worst, TOL_ITER,
         {"max_certificate_width": cert}))
-    t0 = time.perf_counter()
     W3 = WeightedGraph.path(3).W
     rep = spectra.collatz_wielandt_max(W3, tol=1e-13)
     out.append(VerificationReport.make(
         "cw-path3", "top adjacency eigenvalue of the 3-path is sqrt(2)",
-        "P3", rep.lam, float(np.sqrt(2)), abs(rep.lam - np.sqrt(2.0)),
-        1e-8, t0))
-    t0 = time.perf_counter()
+        "P3", rep.lam, float(np.sqrt(2)), abs(rep.lam - np.sqrt(2.0)), 1e-8))
     T = adjacency_tensor(3, [(0, 1, 2)])
     rep = spectra.collatz_wielandt_max(T)
     out.append(VerificationReport.make(
         "cw-tensor", "single 3-edge adjacency tensor has top H-eigenvalue 2 "
         "at the uniform vector", "one hyperedge", rep.lam, 2.0,
-        abs(rep.lam - 2.0), TOL_ITER, t0,
+        abs(rep.lam - 2.0), TOL_ITER,
         {"certificate": (rep.lo, rep.hi)}))
     return out
 
@@ -1240,7 +1194,6 @@ def suite_duality(seed=42, instances=20) -> list[VerificationReport]:
     out = []
     rng = _rng(seed, "duality")
     pairs = [(2.0, 2.0), (2.0, np.inf), (1.0, 2.0)]
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(instances):
         T = rng.normal(size=(3, 4))
@@ -1249,8 +1202,7 @@ def suite_duality(seed=42, instances=20) -> list[VerificationReport]:
             worst = _worst(worst, rep.gap)
     out.append(VerificationReport.make(
         "duality-transpose", "max ||Tx||_p/||x||_q = max ||T'y||_{q*}/||y||_{p*}",
-        f"{instances} random 3x4 matrices", None, None, worst, 1e-5, t0))
-    t0 = time.perf_counter()
+        f"{instances} random 3x4 matrices", None, None, worst, 1e-5))
     worst = 0.0
     for _ in range(5):
         g = rand_connected_graph(rng, 4, 8)
@@ -1258,25 +1210,22 @@ def suite_duality(seed=42, instances=20) -> list[VerificationReport]:
         worst = _worst(worst, gap)
     out.append(VerificationReport.make(
         "p-dual-incidence", "nonzero vertex and edge Laplacian spectra "
-        "coincide (p = 2)", "5 random graphs", None, None, worst,
-        TOL_EXACT, t0))
+        "coincide (p = 2)", "5 random graphs", None, None, worst, TOL_EXACT))
     return out
 
 
 def suite_dual_inner(seed=42, instances=4) -> list[VerificationReport]:
     """Support-function duality of the Dinkelbach inner problem."""
     out = []
-    t0 = time.perf_counter()
     rep = spectra.dual_inner_problem_check(np.eye(3), np.zeros(3),
                                            fnorm=1.0, ball="l2", seed=seed)
     gap = _worst(abs(rep.min_primal), abs(rep.min_dual))
     out.append(VerificationReport.make(
         "dual-inner-zero", "identity map with zero offset: both sides "
         "vanish at the origin", "T=I, u=0, l1 over l2 ball",
-        rep.min_primal, rep.min_dual, gap, TOL_ITER, t0))
+        rep.min_primal, rep.min_dual, gap, TOL_ITER))
     rng = _rng(seed, "dual-inner")
     for idx in range(instances):
-        t0 = time.perf_counter()
         T = rng.normal(size=(3, 3))
         u = rng.normal(size=3)
         combo = [(2.0, "l2"), (1.0, "linf")][idx % 2]
@@ -1287,7 +1236,7 @@ def suite_dual_inner(seed=42, instances=4) -> list[VerificationReport]:
             "dual-inner-random", "min/max of F(Tx) - x.u over the ball "
             "equal their support-function duals",
             f"random 3x3 #{idx} F=l{int(combo[0])} B={combo[1]}",
-            rep.min_primal, rep.min_dual, gap, TOL_ITER, t0,
+            rep.min_primal, rep.min_dual, gap, TOL_ITER,
             {"max_primal": rep.max_primal, "max_dual": rep.max_dual}))
     return out
 
@@ -1302,16 +1251,14 @@ def suite_maxcut(seed=42) -> list[VerificationReport]:
              ("C5", WeightedGraph.cycle(5), 4.0),
              ("edge", WeightedGraph.from_edges(2, [(0, 1)]), 1.0)]
     for name, g, want in cases:
-        t0 = time.perf_counter()
         rep = cst.maxcut(g, seed=seed)
         gap = _worst(abs(rep.value - want), abs(rep.indicator_value - rep.value),
                      0.0 if rep.continuous_samples_ok else 1.0)
         out.append(VerificationReport.make(
             "maxcut-representation", "maxcut equals the sign-constrained "
             "bilinear representation; samples never exceed it",
-            name, rep.value, want, gap, TOL_SLACK, t0))
+            name, rep.value, want, gap, TOL_SLACK))
     # dual Cheeger representation h+ = max 2 E(S,T) / vol(S u T)
-    t0 = time.perf_counter()
     g = rand_connected_graph(rng, 5, 7)
     hplus = float(cst.dual_cheeger_k(g, 1).value)
     worst = 0.0
@@ -1330,7 +1277,7 @@ def suite_maxcut(seed=42) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "dual-cheeger-representation", "2 sum w x y / (||x||inf vol(y) + "
         "||y||inf vol(x)) never exceeds the dual Cheeger constant",
-        f"graph n={g.n}", best_seen, hplus, worst, TOL_SLACK, t0))
+        f"graph n={g.n}", best_seen, hplus, worst, TOL_SLACK))
     return out
 
 
@@ -1341,24 +1288,21 @@ def suite_second_eigen(seed=42) -> list[VerificationReport]:
     lambda_3."""
     out = []
     rng = _rng(seed, "second-eigen")
-    t0 = time.perf_counter()
     g = rand_connected_graph(rng, 5, 8)
     L, D = g.laplacian(), np.diag(g.degrees)
     rep = spectra.second_eigen_characterizations(L, D, np.ones(g.n))
     out.append(VerificationReport.make(
         "second-eigen-connected", "three characterizations of lambda_2 "
         "agree on a connected graph", f"n={g.n}", rep.projected_form,
-        rep.spectrum_value, rep.gap, TOL_EXACT, t0))
-    t0 = time.perf_counter()
+        rep.spectrum_value, rep.gap, TOL_EXACT))
     ep = spectra.dinkelbach_multistart(
         spectra.quadratic_form_pair(L, D),
         spectra.projection_quadratic(D, np.ones(g.n)), g.n, seed=seed, starts=8)
     out.append(VerificationReport.make(
         "second-eigen-dinkelbach", "Dinkelbach on the quadratic pair along "
         "span(1) reaches lambda_2", f"n={g.n}", ep.lam, rep.spectrum_value,
-        abs(ep.lam - rep.spectrum_value), TOL_ITER, t0,
+        abs(ep.lam - rep.spectrum_value), TOL_ITER,
         {"outer_steps": len(ep.history) - 1, "converged": ep.converged}))
-    t0 = time.perf_counter()
     g1 = rand_connected_graph(rng, 3, 4)
     g2 = rand_connected_graph(rng, 3, 4)
     n = g1.n + g2.n
@@ -1376,7 +1320,7 @@ def suite_second_eigen(seed=42) -> list[VerificationReport]:
     out.append(VerificationReport.make(
         "second-eigen-disconnected", "with two components the projected "
         "form equals lambda_3", f"n={n}", rep.projected_form, w[2], gap,
-        TOL_EXACT, t0))
+        TOL_EXACT))
     return out
 
 

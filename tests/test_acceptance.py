@@ -175,8 +175,6 @@ def test_criterion_13_full_suite_runtime_and_determinism():
         again.extend(verify.SUITES[name](seed=SEED))
     da = [r.to_dict() for r in first]
     db = [r.to_dict() for r in again]
-    for r in da + db:
-        r.pop("runtime")
     ok = ok and da == db
     line(13, ok, f"full suite: {len(reps)} reports in {dt:.0f}s < 300s, "
                  f"failures {fails}, reruns bit-identical")

@@ -341,3 +341,61 @@ def test_cmd_cheeger_rejects_a_k_the_input_cannot_take(tmp_path, capsys):
         assert rc == 2 and captured.out == "" and "at most 2 sets" in captured.err, k
     rc = main(["cheeger", "--input", p3, "--variant", "dual", "--k", "1"])
     assert rc == 0 and capsys.readouterr().out.startswith("1-way-dual: 1 ")
+
+
+# every unusable input file, --x value or report JSON: (command and options,
+# file name, file text or None for a missing file); the file is --input
+MALFORMED = [
+    (["complex-spec", "--d", "0"], "zero.complex", "0 1\n"),
+    (["spectrum", "--mode", "tensor-cw"], "letters.tensor", "a b\n1 2 1\n"),
+    (["cheeger"], "negative.graph", "-1\n"),
+    (["lagrangian"], "zero.uh", "3\n0 1 2\n"),
+    (["cheeger"], "loop.graph", "3\n1 1 2\n"),
+    (["cheeger"], "nan.graph", "3\n1 2 nan\n"),
+    (["spectrum", "--mode", "tensor-cw"], "nan.tensor", "3 3\n1 2 3 nan\n"),
+    (["extend-eval", "--x", "1,0"], "overflow.setfn", "1 2\n3 1.5e400\n"),
+    (["extend-eval", "--x", "1,0"], "zero-denominator.setfn", "1 2\n3 1/0\n"),
+    (["cheeger", "--variant", "chemical"], "empty-edge.chem", "3\nin: | out: 1\n"),
+    (["cheeger", "--variant", "chemical"], "one-vertex.chem", "3\nin: 1 | out: 1\n"),
+    (["cheeger"], "missing.graph", None),
+    (["report"], "corrupt.json", '[{"check_id": '),
+    (["report"], "incomplete.json", '[{"check_id": "x", "verdict": "pass"}]\n'),
+    (["extend-eval", "--x", "a,b"], "letters-x.setfn", "1 2\n3 1\n"),
+    (["extend-eval", "--x", "1,0;0,1"], "two-blocks.setfn", "1 2\n3 1\n"),
+    (["extend-eval", "--x", "1,0"], "short-block.setfn", "1 3\n7 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, name, text", MALFORMED, ids=[c[1] for c in MALFORMED])
+def test_unusable_input_exits_2_with_one_line_naming_the_file(tmp_path, capsys, argv,
+                                                              name, text):
+    # each of these was silently changed, or ended in a traceback with exit 1
+    path = write(tmp_path, name, text) if text is not None else str(tmp_path / name)
+    rc = main(argv + ["--input", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(path + ":")
+    assert "Traceback" not in captured.err
+
+
+def test_cmd_report_prints_what_verify_prints(tmp_path, capsys):
+    # one formatter and one exit rule for verify's text and report
+    rc_text = main(["verify", "--suite", "k5"])
+    text = capsys.readouterr().out
+    rc = main(["verify", "--suite", "k5", "--format", "structured"])
+    path = write(tmp_path, "k5.json", capsys.readouterr().out)
+    assert main(["report", "--input", path]) == rc_text == rc == 0
+    assert capsys.readouterr().out == text
+
+
+def test_cmd_cheeger_rejects_a_d_without_cofaces(tmp_path, capsys):
+    # --d at the top dimension ended in a 'no cofaces' traceback with exit 1
+    for name, text in (("edge.complex", "1 2\n"), ("hollow.complex", "1 2\n2 3\n1 3\n")):
+        path = write(tmp_path, name, text)
+        for d in ("1", "-1"):
+            rc = main(["cheeger", "--variant", "simplicial", "--input", path, "--d", d])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == "", (name, d)
+            assert "--d < 1" in captured.err, (name, d)
+        rc = main(["cheeger", "--variant", "simplicial", "--input", path, "--d", "0"])
+        assert rc == 0 and capsys.readouterr().out.startswith("simplicial-1-way-S0"), name

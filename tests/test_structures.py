@@ -88,6 +88,22 @@ def test_anti_signed_degree_consistency():
         assert np.all(neighbor_count == (d + 1) * deg_up)
 
 
+def test_restricted_up_pair_keeps_the_simplices_with_a_coface():
+    # a triangle, an edge and a vertex: at d = 0 the isolated vertex 4 is
+    # dropped, at d = 1 the edge (2, 3); above and below there is no pair
+    K = SimplicialComplex([[0, 1, 2], [2, 3], [4]])
+    for d in (-1, 2, 3):
+        assert K.restricted_up_pair(d) is None
+    for d in (0, 1):
+        keep, B, deg, W = K.restricted_up_pair(d)
+        assert keep == [i for i, t in enumerate(K.up_degrees(d)) if t > 0]
+        assert np.array_equal(B, K.boundary_matrix(d + 1)[keep, :])
+        assert np.array_equal(deg, K.up_degrees(d)[keep])
+        assert np.array_equal(W, K.anti_signed_graph(d).W[np.ix_(keep, keep)])
+    assert K.restricted_up_pair(0)[0] == [0, 1, 2, 3]
+    assert K.restricted_up_pair(1)[0] == [0, 1, 2]
+
+
 def test_balance_all_positive():
     G = SignedGraph(WeightedGraph.complete(4).W)
     count, _ = G.balanced_components()
@@ -248,3 +264,4 @@ def test_near_integral_weights_keep_float_set_functions():
         assert type(cut(a)) is not Fraction and cut(a) == table[a]
     assert type(count(0b001, 0b010)) is not Fraction
     assert count(0b001, 0b010) == 10000.09 and count(0b010, 0b111) == 10000.09 + 20000.18
+    assert not g.integral and WeightedGraph(np.round(W)).integral

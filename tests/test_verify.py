@@ -248,9 +248,6 @@ def test_check_sion_skips_bad_structure():
 def test_reports_deterministic_across_runs():
     a = [r.to_dict() for r in verify.suite_turan(seed=5, instances=2, samples=40)]
     b = [r.to_dict() for r in verify.suite_turan(seed=5, instances=2, samples=40)]
-    for ra, rb in zip(a, b):
-        ra.pop("runtime")
-        rb.pop("runtime")
     assert a == b
 
 
