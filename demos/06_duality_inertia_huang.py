@@ -54,6 +54,6 @@ g = WeightedGraph.complete(4)
 ms = cst.motzkin_straus(g)
 print(f"  K4: ascent {ms.ascent_value:.8f} = 1 - 1/4")
 he = cst.clique_hypergraph(g, 3)
-lag = cst.hypergraph_lagrangian(4, he, clique_hypergraph=True)
+lag = cst.hypergraph_lagrangian(4, he)
 print(f"  3-cliques of K4: subset max {lag.discrete_value} "
       f"= ascent {lag.ascent_value:.8f}")

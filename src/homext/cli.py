@@ -7,7 +7,11 @@ integers, vertex ids run 1..n (0-based inside, converted only here), and
 every number is an integer or p/q (a Fraction) or a decimal (a float),
 finite either way; graph weights and tensor entries are stored as floats.
 A file, --x value or report JSON that cannot be used as written is
-refused with 'path:line: reason'.  Every report, of
+refused with 'path:line: reason': so is an entry listed twice (a graph
+edge in either orientation, a uniform hyperedge as a set, a tensor index
+multiset or a set-function mask tuple; chemical multi-edges are allowed),
+and, with 'path: reason', a graph with a vertex of degree 0 under
+`spectrum --mode quadratic` or `--mode ternary`.  Every report, of
 `verify` or read back by `report`, is printed by one formatter.
 Each command takes only the options it reads.
 Exit codes: 0 all verdicts pass, 1 some check failed, 2 cap exceeded, an
@@ -106,6 +110,13 @@ def _ids(tokens, n=math.inf, distinct=True) -> list:
     return ids
 
 
+def _once(seen: dict, key, lineno, what) -> None:
+    """Record the line of ``key``; a key listed on an earlier line is refused."""
+    if key in seen:
+        raise ValueError(f"repeats the {what} of line {seen[key]}")
+    seen[key] = lineno
+
+
 def _header(path, lineno, tokens, names) -> list:
     """The header line as one positive integer per name in ``names``."""
     with _at(path, lineno):
@@ -146,12 +157,13 @@ def parse_input(path: str, kind: str):
 
     if kind == "uniform-hypergraph" or kind == "tensor" and len(head) == 1:
         k, = _header(path, lineno, head, "k")
-        hyperedges = []
+        hyperedges, seen = [], {}
         for lineno, tokens in body:
             with _at(path, lineno):
                 if len(tokens) != k:
                     raise ValueError(f"edge must have {k} distinct vertices")
                 hyperedges.append(tuple(_ids(tokens)))
+                _once(seen, frozenset(hyperedges[-1]), lineno, "hyperedge")
         n = max((max(e) + 1 for e in hyperedges), default=0)
         if kind == "uniform-hypergraph":
             return k, n, hyperedges
@@ -160,12 +172,13 @@ def parse_input(path: str, kind: str):
 
     if kind == "graph":
         n, = _header(path, lineno, head, "n")
-        W = np.zeros((n, n))
+        W, seen = np.zeros((n, n)), {}
         for lineno, tokens in body:
             with _at(path, lineno):
                 if len(tokens) not in (2, 3):
                     raise ValueError("expected 'i j [w]'")
                 i, j = _ids(tokens[:2], n)
+                _once(seen, frozenset((i, j)), lineno, "edge")
                 w = float(_number(tokens[2])) if len(tokens) == 3 else 1.0
                 if w < 0:
                     raise ValueError("graph weights must be >= 0")
@@ -187,20 +200,24 @@ def parse_input(path: str, kind: str):
 
     k, n = _header(path, lineno, head, "k n")
     if kind == "tensor":
-        T = SymmetricTensor(k, n)
+        T, seen = SymmetricTensor(k, n), {}
         for lineno, tokens in body:
             with _at(path, lineno):
                 if len(tokens) != k + 1:
                     raise ValueError(f"expected {k} indices and a value")
-                T[_ids(tokens[:k], n, distinct=False)] = float(_number(tokens[k]))
+                idx = _ids(tokens[:k], n, distinct=False)
+                _once(seen, tuple(sorted(idx)), lineno, "index multiset")
+                T[idx] = float(_number(tokens[k]))
         return T
 
-    vals, top = {}, (1 << n) - 1
+    vals, seen, top = {}, {}, (1 << n) - 1
     for lineno, tokens in body:
         with _at(path, lineno):
             if len(tokens) != k + 1:
                 raise ValueError(f"expected {k} masks and a value")
-            vals[tuple(_ints(tokens[:k], 0, top, "mask"))] = _number(tokens[k])
+            masks = tuple(_ints(tokens[:k], 0, top, "mask"))
+            _once(seen, masks, lineno, "mask tuple")
+            vals[masks] = _number(tokens[k])
     return SetTupleFunction(n, k, vals)
 
 
@@ -248,6 +265,10 @@ def cmd_spectrum(args) -> int:
         return 0 if rep.converged else 3
 
     g = parse_input(args.input, "graph")
+    if args.mode in ("quadratic", "ternary") and not g.degrees.all():
+        v = int(np.argmin(g.degrees)) + 1
+        raise ParseError(args.input, None,
+                         f"vertex {v} has degree 0; --mode {args.mode} needs every degree positive")
     if args.mode == "quadratic":
         L = g.laplacian() if args.pair != "signless" else g.signless_laplacian()
         w, _ = spectra.quadratic_pair_spectrum(L, np.diag(g.degrees))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .setfn import CapExceeded, full_mask, mask_members, mask_of, popcount, submasks
 from .simplex import l1_residual_lp, linprog  # noqa: F401  linprog: looked up here by tracers
-from .structures import ChemicalHypergraph, SimplicialComplex, WeightedGraph
+from .structures import (ChemicalHypergraph, SimplicialComplex, WeightedGraph,
+                         signed_components)
 
 CHEEGER_CAP = 20
 KWAY_CAP = 12
@@ -132,23 +133,21 @@ def cheeger(g: WeightedGraph) -> CheegerReport:
     return CheegerReport(best, arg, len(range(1, total)), "cheeger")
 
 
-def _disjoint_tuples(n: int, k: int):
-    """Canonically ordered families of k disjoint nonempty subsets (each
-    family once, blocks sorted by smallest element)."""
-    total = full_mask(n)
-    def rec(used, k_left, min_elt):
+def _disjoint_families(avail: int, k: int, split=lambda b: (b,)):
+    """Canonically ordered families of k disjoint nonempty blocks inside
+    ``avail``, each family once with blocks sorted by smallest element;
+    each block is given as every part of ``split(block)`` in turn."""
+    def rec(avail, k_left, lo):
         if k_left == 0:
             yield ()
             return
-        avail = total & ~used
-        elems = [i for i in mask_members(avail) if i >= min_elt]
-        for anchor in elems:
-            rest = mask_of([i for i in mask_members(avail) if i > anchor])
-            for sub in submasks(rest):
+        for anchor in mask_members(avail >> lo << lo):
+            for sub in submasks(avail >> (anchor + 1) << (anchor + 1)):
                 block = sub | (1 << anchor)
-                for tail in rec(used | block, k_left - 1, anchor + 1):
-                    yield (block,) + tail
-    yield from rec(0, k, 0)
+                for part in split(block):
+                    for tail in rec(avail & ~block, k_left - 1, anchor + 1):
+                        yield (part,) + tail
+    yield from rec(avail, k, 0)
 
 
 def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
@@ -159,7 +158,7 @@ def k_way_cheeger(g: WeightedGraph, k: int) -> CheegerReport:
     integral = g.integral
     ratio = [_ratio(c, v, integral) for c, v in zip(*_tables(g.W, g.degrees))]
     best, arg, count = None, [], 0
-    for blocks in _disjoint_tuples(g.n, k):
+    for blocks in _disjoint_families(full_mask(g.n), k):
         count += 1
         worst = max(ratio[b] for b in blocks)
         if best is None or worst < best:
@@ -176,7 +175,7 @@ def dual_cheeger_k(g: WeightedGraph, k: int) -> CheegerReport:
     integral = g.integral
     E, vol = g.ordered_edge_count().callback, _tables(g.W, g.degrees)[1]
     best, arg, count = None, [], 0
-    for blocks in _disjoint_tuples(g.n, 2 * k):
+    for blocks in _disjoint_families(full_mask(g.n), 2 * k):
         # blocks are canonically ordered; pair them in every way is costly,
         # but pairing consecutive blocks after choosing the family misses
         # pairings, so enumerate pairings of the 2k blocks.
@@ -336,12 +335,10 @@ class LagrangianReport:
     discrete_value: Fraction       # max over U of #{edges inside U} / #U^k
     discrete_witness: int
     ascent_value: float
-    clique_hypergraph: bool
 
 
 def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
-                          seed: int = 42,
-                          clique_hypergraph: bool = False) -> LagrangianReport:
+                          seed: int = 42) -> LagrangianReport:
     """Lagrangian sup of sum_{e} prod_{i in e} x_i over the simplex against
     the best subset density; equality is a theorem when the hyperedges are
     all k-cliques of a graph, in general ascent >= subset density.  The
@@ -381,7 +378,7 @@ def hypergraph_lagrangian(n: int, hyperedges: Sequence[Sequence[int]],
     for _ in range(ASCENT_STARTS):
         start_list.append(rng.uniform(0.05, 1.0, n))
     val, _ = _replicator_ascent(grad, value, start_list)
-    return LagrangianReport(k, best, wit, val, clique_hypergraph)
+    return LagrangianReport(k, best, wit, val)
 
 
 def clique_hypergraph(g: WeightedGraph, k: int) -> list[tuple[int, ...]]:
@@ -443,32 +440,16 @@ def simplicial_cheeger(K: SimplicialComplex, d: int, k: int = 1) -> CheegerRepor
     # sub-partitions: the second part of a pair may be empty; families are
     # canonical with pair minima strictly increasing and the top element of
     # each pair's support placed in the first part (beta is symmetric).
-    total = full_mask(nd)
+    def top_first(s):
+        return ((a, s & ~a) for a in submasks(s) if a.bit_length() == s.bit_length())
 
-    def pairs_within(avail, lo):
-        for s_anchor in [i for i in mask_members(avail) if i >= lo]:
-            rest = mask_of([i for i in mask_members(avail) if i > s_anchor])
-            for s_extra in submasks(rest):
-                s = s_extra | (1 << s_anchor)
-                for a in submasks(s):
-                    if a.bit_length() == s.bit_length():
-                        yield a, s & ~a, s, s_anchor
-
-    def rec(avail, k_left, lo):
-        if k_left == 0:
-            yield []
-            return
-        for a, b, s, anchor in pairs_within(avail, lo):
-            for tail in rec(avail & ~s, k_left - 1, anchor + 1):
-                yield [(a, b)] + tail
-
-    for fam in rec(total, k, 0):
+    for fam in _disjoint_families(full_mask(nd), k, top_first):
         count += 1
         if any(vol[a | b] == 0 for a, b in fam):
             continue
         worst = max(Fraction(u[a] + u[b] + cut_n[a | b], vol[a | b]) for a, b in fam)
         if best is None or worst < best:
-            best, arg = worst, [fam]
+            best, arg = worst, [list(fam)]
     return CheegerReport(best, arg, count, f"simplicial-{k}-way-S{d}",
                          extra={"dimension": d})
 
@@ -559,21 +540,4 @@ def _quotient_enumeration(M, deg, img, n_list) -> SimplicialHReport:
 def nodal_domains(x, g: WeightedGraph, tol: float = 1e-9) -> int:
     """Connected components of the support of x in the carrier graph."""
     support = [i for i in range(g.n) if abs(x[i]) > tol]
-    if not support:
-        return 0
-    sset = set(support)
-    seen = set()
-    count = 0
-    for s in support:
-        if s in seen:
-            continue
-        count += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            for u in range(g.n):
-                if u in sset and u not in seen and g.W[v, u] != 0:
-                    seen.add(u)
-                    stack.append(u)
-    return count
+    return len(signed_components(g.W[np.ix_(support, support)]))

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Sequence
 
 from .setfn import (CapExceeded, DisjointPairFunction, SetTupleFunction,
-                    full_mask, mask_of)
+                    full_mask, is_chain_tuple, mask_of)
 
 MULTILINEAR_PROBE_CAP = 10 ** 6
 BLOCK_TERMS_CACHE = 4096
@@ -216,42 +216,26 @@ def multiple_integral(f: DisjointPairFunction, xs: Sequence[Sequence]):
     return total
 
 
-def comonotone_check(xs: Sequence[Sequence]) -> bool:
-    """Pairwise comonotonicity: (x_i - x_j)(y_i - y_j) >= 0 for all i, j."""
+def _equal_length(xs: Sequence[Sequence]) -> int:
     n = {len(x) for x in xs}
     if len(n) != 1:
         raise ValueError("blocks must have equal length")
-    n = n.pop()
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            x, y = xs[a], xs[b]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (x[i] - x[j]) * (y[i] - y[j]) < 0:
-                        return False
-    return True
+    return n.pop()
 
 
-def _abs_comonotone_pair(x: Sequence, y: Sequence) -> bool:
-    if any(x[i] * y[i] < 0 for i in range(len(x))):
-        return False
-    ax = [abs(v) for v in x]
-    ay = [abs(v) for v in y]
-    return comonotone_check([ax, ay])
+def comonotone_check(xs: Sequence[Sequence]) -> bool:
+    """(x_i - x_j)(y_i - y_j) >= 0 for all i, j and blocks x, y: the upper
+    level sets of all blocks form one inclusion chain."""
+    _equal_length(xs)
+    return is_chain_tuple([m for x in xs for _, m in _block_terms(x)])
 
 
 def absolutely_comonotone_check(xs: Sequence[Sequence]) -> bool:
-    """Pairwise: no opposite signs coordinate-wise, and comonotone in
-    absolute value.  Equivalent to all signed upper level sets of the
-    blocks forming one chain of disjoint pairs."""
-    n = {len(x) for x in xs}
-    if len(n) != 1:
-        raise ValueError("blocks must have equal length")
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if not _abs_comonotone_pair(xs[a], xs[b]):
-                return False
-    return True
+    """No opposite signs coordinate-wise and comonotone in absolute value:
+    the signed upper level sets of all blocks form one chain of disjoint
+    pairs, i.e. the masks p | m << n form one inclusion chain."""
+    n = _equal_length(xs)
+    return is_chain_tuple([p | m << n for x in xs for _, p, m in _signed_block_terms(x)])
 
 
 def comaximal_check(x: Sequence, y: Sequence) -> bool:

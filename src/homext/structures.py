@@ -18,17 +18,52 @@ import numpy as np
 from .setfn import SetTupleFunction, full_mask, mask_members, mask_of, popcount
 
 
+def _weight_table(weights) -> np.ndarray:
+    """The weights as a float array, square and symmetric with zero diagonal."""
+    W = np.asarray(weights, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError("weight table must be square")
+    if not np.allclose(W, W.T):
+        raise ValueError("weight table must be symmetric")
+    if np.any(np.diag(W) != 0):
+        raise ValueError("diagonal must be zero")
+    return W
+
+
+def signed_components(W: np.ndarray) -> list[tuple[list[int], dict, Optional[tuple]]]:
+    """(vertices, signs, witness) per connected component of the nonzero
+    pattern of W, in order of least vertex: the vertices in depth-first
+    discovery order, each one's sign propagated from +1 at the least
+    vertex along the tree edges by the sign of W, and the last edge (v, u),
+    u > v, with v and then u in discovery order, whose sign disagrees with
+    the product of its ends' signs (the component is balanced iff there is
+    none, Harary 1953), or None."""
+    rows = W.tolist()
+    sign = {}
+    out = []
+    for s in range(len(rows)):
+        if s in sign:
+            continue
+        sign[s] = 1
+        stack, comp = [s], [s]
+        while stack:
+            v = stack.pop()
+            for u in np.flatnonzero(W[v]).tolist():
+                if u not in sign:
+                    sign[u] = sign[v] * (1 if rows[v][u] > 0 else -1)
+                    stack.append(u)
+                    comp.append(u)
+        bad = [(v, u) for v in comp for u in comp
+               if u > v and sign[v] * sign[u] * rows[v][u] < 0]
+        out.append((comp, {v: sign[v] for v in comp}, bad[-1] if bad else None))
+    return out
+
+
 class WeightedGraph:
     """Undirected graph with symmetric nonnegative weights, zero diagonal."""
 
     def __init__(self, weights):
-        W = np.asarray(weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("weight table must be square")
-        if not np.allclose(W, W.T):
-            raise ValueError("weight table must be symmetric")
-        if np.any(np.diag(W) != 0):
-            raise ValueError("diagonal must be zero")
+        W = _weight_table(weights)
         if np.any(W < 0):
             raise ValueError("weights must be nonnegative")
         self.W = W
@@ -92,48 +127,18 @@ class WeightedGraph:
 
     def components(self) -> list[int]:
         """Connected components as vertex masks."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, mask = [s], 0
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                mask |= 1 << v
-                for u in range(self.n):
-                    if self.W[v, u] != 0 and not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(mask)
-        return comps
+        return [mask_of(comp) for comp, _, _ in signed_components(self.W)]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
     def is_bipartite(self) -> tuple[bool, Optional[int]]:
-        """(flag, mask of one side) via BFS 2-coloring."""
-        color = [-1] * self.n
-        side = 0
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u in range(self.n):
-                    if self.W[v, u] != 0:
-                        if color[u] < 0:
-                            color[u] = 1 - color[v]
-                            stack.append(u)
-                        elif color[u] == color[v]:
-                            return False, None
-        for i in range(self.n):
-            if color[i] == 0:
-                side |= 1 << i
-        return True, side
+        """(flag, mask of one side): the all-negative signing is balanced
+        iff the graph is bipartite, with sides the two signs."""
+        comps = signed_components(-1.0 * (self.W != 0))
+        if any(witness is not None for _, _, witness in comps):
+            return False, None
+        return True, mask_of(v for _, sign, _ in comps for v in sign if sign[v] > 0)
 
     def complement(self) -> "WeightedGraph":
         W = 1.0 - np.eye(self.n) - (self.W != 0)
@@ -170,59 +175,16 @@ class SignedGraph:
     """Symmetric signed weights, zero diagonal; sign pattern is what matters."""
 
     def __init__(self, weights):
-        W = np.asarray(weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("weight table must be square")
-        if not np.allclose(W, W.T):
-            raise ValueError("weight table must be symmetric")
-        if np.any(np.diag(W) != 0):
-            raise ValueError("diagonal must be zero")
-        self.W = W
-        self.n = W.shape[0]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.abs(self.W).sum(axis=1)
+        self.W = _weight_table(weights)
+        self.n = self.W.shape[0]
 
     def balanced_components(self):
-        """(count, per-component switching or None) via spanning-tree
-        propagation; a component is balanced iff every non-tree edge is
-        consistent with the propagated signs."""
-        n = self.n
-        seen = [False] * n
-        sign = [0] * n
-        count = 0
-        details = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            sign[s] = 1
-            stack = [s]
-            comp = [s]
-            while stack:
-                v = stack.pop()
-                for u in range(n):
-                    if self.W[v, u] != 0 and not seen[u]:
-                        seen[u] = True
-                        sign[u] = sign[v] * (1 if self.W[v, u] > 0 else -1)
-                        stack.append(u)
-                        comp.append(u)
-            balanced = True
-            witness = None
-            for v in comp:
-                for u in comp:
-                    if u > v and self.W[v, u] != 0:
-                        expect = 1 if self.W[v, u] > 0 else -1
-                        if sign[v] * sign[u] != expect:
-                            balanced = False
-                            witness = (v, u)
-            if balanced:
-                count += 1
-                details.append((mask_of(comp), {v: sign[v] for v in comp}))
-            else:
-                details.append((mask_of(comp), witness))
-        return count, details
+        """(count, per component (mask, switching) if balanced, else (mask,
+        last disagreeing edge)) from ``signed_components``."""
+        comps = signed_components(self.W)
+        details = [(mask_of(comp), sign if witness is None else witness)
+                   for comp, sign, witness in comps]
+        return sum(witness is None for _, _, witness in comps), details
 
 
 class ChemicalHypergraph:

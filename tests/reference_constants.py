@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from homext.constants import (CheegerReport, MAXCUT_SAMPLES, MaxcutReport,
-                              _as_ratio, _disjoint_tuples, _pairings, _ratio)
+                              _as_ratio, _pairings, _ratio)
 from homext.setfn import full_mask, mask_members, mask_of, popcount, submasks
 
 from reference_structures import boundary_edges
@@ -97,6 +97,26 @@ def chemical_cheeger_loop(H) -> CheegerReport:
         if best is None or val < best:
             best, arg = val, [a]
     return CheegerReport(best, arg, count, "chemical")
+
+
+def _disjoint_tuples(n: int, k: int):
+    """Canonically ordered families of k disjoint nonempty subsets (each
+    family once, blocks sorted by smallest element): the order reference
+    for ``constants._disjoint_families``."""
+    total = full_mask(n)
+    def rec(used, k_left, min_elt):
+        if k_left == 0:
+            yield ()
+            return
+        avail = total & ~used
+        elems = [i for i in mask_members(avail) if i >= min_elt]
+        for anchor in elems:
+            rest = mask_of([i for i in mask_members(avail) if i > anchor])
+            for sub in submasks(rest):
+                block = sub | (1 << anchor)
+                for tail in rec(used | block, k_left - 1, anchor + 1):
+                    yield (block,) + tail
+    yield from rec(0, k, 0)
 
 
 def k_way_cheeger_loop(g, k: int) -> CheegerReport:

@@ -363,6 +363,17 @@ MALFORMED = [
     (["extend-eval", "--x", "a,b"], "letters-x.setfn", "1 2\n3 1\n"),
     (["extend-eval", "--x", "1,0;0,1"], "two-blocks.setfn", "1 2\n3 1\n"),
     (["extend-eval", "--x", "1,0"], "short-block.setfn", "1 3\n7 1\n"),
+    (["spectrum", "--mode", "quadratic"], "isolated.graph", "4\n1 2 1.5\n2 3 0.5\n"),
+    (["spectrum", "--mode", "quadratic", "--pair", "signless"], "isolated-signless.graph",
+     "4\n1 2 1.5\n2 3 0.5\n"),
+    (["spectrum", "--mode", "ternary"], "isolated-float.graph", "4\n1 2 1.5\n2 3 0.5\n"),
+    (["spectrum", "--mode", "ternary"], "isolated-integral.graph", "4\n1 2 1\n2 3 1\n"),
+    (["cheeger"], "repeated-edge.graph", "3\n1 2 1\n1 2 3\n2 3 1\n"),
+    (["cheeger"], "reversed-edge.graph", "3\n1 2 1\n2 1 3\n2 3 1\n"),
+    (["extend-eval", "--x", "1,0"], "repeated-mask.setfn", "1 2\n1 5\n1 7\n3 1\n"),
+    (["spectrum", "--mode", "tensor-cw"], "repeated-index.tensor", "3 3\n1 2 3 1\n3 2 1 2\n"),
+    (["spectrum", "--mode", "tensor-cw"], "repeated-edge.tensor", "3\n1 2 3\n2 3 1\n"),
+    (["lagrangian"], "repeated-hyperedge.uh", "3\n1 2 3\n3 1 2\n"),
 ]
 
 
@@ -376,6 +387,20 @@ def test_unusable_input_exits_2_with_one_line_naming_the_file(tmp_path, capsys, 
     assert rc == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(path + ":")
     assert "Traceback" not in captured.err
+
+
+def test_refusals_name_the_degree_0_vertex_and_the_repeated_line(tmp_path, capsys):
+    # a repeat is refused at its second line; chemical multi-edges stay allowed
+    path = write(tmp_path, "isolated.graph", "4\n1 2 1.5\n2 3 0.5\n")
+    assert main(["spectrum", "--mode", "ternary", "--input", path]) == 2
+    assert capsys.readouterr().err == f"{path}: vertex 4 has degree 0; " \
+        "--mode ternary needs every degree positive\n"
+    path = write(tmp_path, "repeated.graph", "3\n1 2 1\n2 3 1\n2 1 3\n")
+    assert main(["maxcut", "--input", path]) == 2
+    assert capsys.readouterr().err == f"{path}:4: repeats the edge of line 2\n"
+    path = write(tmp_path, "multi.chem", "3\nin: 1 | out: 2\nin: 1 | out: 2\nin: 2 | out: 3\n")
+    H = parse_input(path, "chemical-hypergraph")
+    assert len(H.edges) == 3 and list(H.degrees) == [2, 3, 1]
 
 
 def test_cmd_report_prints_what_verify_prints(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homext import constants as cst
-from homext.setfn import CapExceeded, mask_of
+from homext.setfn import CapExceeded, full_mask, mask_of
 from homext.structures import (ChemicalHypergraph, SimplicialComplex,
                                WeightedGraph)
 
@@ -172,7 +172,7 @@ def test_lagrangian_clique_hypergraph_equality():
         he = cst.clique_hypergraph(g, 3)
         if not he:
             continue
-        rep = cst.hypergraph_lagrangian(g.n, he, clique_hypergraph=True)
+        rep = cst.hypergraph_lagrangian(g.n, he)
         assert abs(rep.ascent_value - float(rep.discrete_value)) < 1e-6
 
 
@@ -499,6 +499,43 @@ def test_nodal_domains_counts():
     assert cst.nodal_domains(np.array([1.0, 1.0, 1.0]), p3) == 1
     assert cst.nodal_domains(np.array([1.0, 0.0, -1.0]), p3) == 2
     assert cst.nodal_domains(np.zeros(3), p3) == 0
+
+
+def test_nodal_domains_are_the_components_of_the_support():
+    # against networkx on the induced subgraph; one vertex, isolated
+    # vertices and an empty support included
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nx = pytest.importorskip("networkx")
+    one, empty3 = WeightedGraph(np.zeros((1, 1))), WeightedGraph(np.zeros((3, 3)))
+    assert cst.nodal_domains(np.ones(1), one) == 1
+    assert cst.nodal_domains(np.zeros(1), one) == 0
+    assert cst.nodal_domains(np.array([1.0, -1.0, 2.0]), empty3) == 3
+    assert cst.nodal_domains(np.array([1e-12, 0.0, -1e-10]), WeightedGraph.path(3)) == 0
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 8), st.data())
+    def check(n, data):
+        pairs = list(combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        x = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-12, 1.0, -1.0, 0.5]),
+                                        min_size=n, max_size=n)))
+        g = WeightedGraph.from_edges(n, edges)
+        G = nx.Graph(edges)
+        G.add_nodes_from(range(n))
+        support = [i for i in range(n) if abs(x[i]) > 1e-9]
+        assert cst.nodal_domains(x, g) == nx.number_connected_components(G.subgraph(support))
+
+    check()
+
+
+def test_disjoint_families_keep_the_reference_order():
+    # witnesses are the first best family, so the order is part of every
+    # k-way and dual Cheeger result
+    from reference_constants import _disjoint_tuples
+    for n in range(1, 8):
+        for k in range(1, 5):
+            assert list(cst._disjoint_families(full_mask(n), k)) == list(_disjoint_tuples(n, k))
 
 
 def test_caps_raise():

@@ -396,6 +396,33 @@ def test_absolutely_comonotone_matches_signed_chain_property():
         assert got == chain, (x, y)
 
 
+def test_comonotone_checks_match_their_pairwise_definitions():
+    # the level-set chain tests against the pairwise definitions, k = 1..3,
+    # on ints, Fractions and floats with ties and signed zeros
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pools = [[0, 1, 2, -1, -2], [Fraction(1, 2), Fraction(0), Fraction(-1, 3), 1],
+             [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0], [0, 0.0, -0.0, 1, 1.0, Fraction(1), -1]]
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(pools), st.integers(1, 3), st.integers(1, 5), st.data())
+    def check(pool, k, n, data):
+        xs = [data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+              for _ in range(k)]
+        pairs = [(x, y) for a, x in enumerate(xs) for y in xs[a + 1:]]
+        ij = list(product(range(n), repeat=2))
+        como = all((x[i] - x[j]) * (y[i] - y[j]) >= 0 for x, y in pairs for i, j in ij)
+        absco = all(x[i] * y[i] >= 0 and (abs(x[i]) - abs(x[j])) * (abs(y[i]) - abs(y[j])) >= 0
+                    for x, y in pairs for i, j in ij)
+        assert comonotone_check(xs) == como, xs
+        assert absolutely_comonotone_check(xs) == absco, xs
+
+    check()
+    for f in (comonotone_check, absolutely_comonotone_check):
+        with pytest.raises(ValueError, match="equal length"):
+            f([[1, 2], [1]])
+
+
 def test_perfect_pair_chain_family():
     x = [2, 1, 0]
     y = [4, 1, 0]

@@ -2,7 +2,7 @@
 hypercubes and adjacency tensors."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from homext.setfn import mask_of
 from homext.structures import (ChemicalHypergraph, SignedGraph,
                                SimplicialComplex, SymmetricTensor,
                                WeightedGraph, adjacency_tensor,
-                               huang_signing, hypercube)
+                               huang_signing, hypercube, signed_components)
 
 from reference_structures import (as_set_function, boundary_edges, chemical_from_graph,
                                   full_form, ordered_edge_count_loop, vol)
@@ -137,6 +137,69 @@ def test_balance_switching_invariant():
         assert count == count2
 
 
+def _signed_graphs(st, n_max):
+    """Symmetric signed weight tables on 1..n_max vertices, zeros common, so
+    isolated vertices and several components occur."""
+    @st.composite
+    def draw(draw):
+        n = draw(st.integers(1, n_max))
+        vals = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.5, -0.5]),
+                             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        W = np.zeros((n, n))
+        for (i, j), w in zip(combinations(range(n), 2), vals):
+            W[i, j] = W[j, i] = w
+        return W
+    return draw()
+
+
+def test_signed_components_match_networkx_and_every_switching():
+    # components and bipartite sides against networkx; balance against a
+    # brute force over every +-1 switching of each component
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nx = pytest.importorskip("networkx")
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(_signed_graphs(st, 7))
+    def check(W):
+        n = W.shape[0]
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from((i, j) for i, j in combinations(range(n), 2) if W[i, j])
+        want = sorted((sorted(c) for c in nx.connected_components(G)), key=min)
+        comps = signed_components(W)
+        assert [sorted(comp) for comp, _, _ in comps] == want
+        g = WeightedGraph(np.abs(W))
+        assert g.components() == [mask_of(c) for c in want]
+        assert g.is_connected() == (len(want) == 1)
+        balanced = 0
+        for comp, sign, witness in comps:
+            root, rest = comp[0], comp[1:]
+            assert root == min(comp) and list(sign) == comp and sign[root] == 1
+            # each vertex is found from one found before it
+            assert all(any(W[v, u] for u in comp[:t + 1]) for t, v in enumerate(rest))
+            edges = [(i, j) for i, j in combinations(sorted(comp), 2) if W[i, j]]
+            switchings = [dict(zip(comp, (1,) + t)) for t in product((1, -1), repeat=len(rest))]
+            found = [s for s in switchings if all(W[i, j] * s[i] * s[j] > 0 for i, j in edges)]
+            if found:
+                balanced += 1
+                assert witness is None and found == [sign]
+            else:
+                assert witness in edges and sign[witness[0]] * sign[witness[1]] * W[witness] < 0
+        count, details = SignedGraph(W).balanced_components()
+        assert count == balanced and [m for m, _ in details] == [mask_of(c) for c in want]
+        flag, side = g.is_bipartite()
+        assert flag == nx.is_bipartite(G)
+        if flag:
+            colour = nx.bipartite.color(G)
+            assert side == mask_of(v for v in range(n)
+                                   if colour[v] == colour[min(nx.node_connected_component(G, v))])
+        else:
+            assert side is None
+
+    check()
+
+
 def test_huang_signing_squares():
     for m in (1, 2, 3):
         Wp = huang_signing(m)
@@ -230,9 +293,9 @@ def test_signed_up_graph_spectral_relation():
     K = SimplicialComplex([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
     G = K.anti_signed_graph(1)
     Gup = SignedGraph(-G.W)
-    D = np.diag(G.degrees)
+    D = np.diag(np.abs(G.W).sum(axis=1))
     wa, _ = spectra.quadratic_pair_spectrum(D - G.W, D)
-    D2 = np.diag(Gup.degrees)
+    D2 = np.diag(np.abs(Gup.W).sum(axis=1))
     wb, _ = spectra.quadratic_pair_spectrum(D2 - Gup.W, D2)
     assert np.allclose(np.sort(wa), np.sort(2.0 - wb[::-1]), atol=1e-9)
 
