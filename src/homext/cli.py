@@ -259,7 +259,11 @@ def cmd_extend_eval(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.mode == "tensor-cw":
-        rep = spectra.collatz_wielandt_max(parse_input(args.input, "tensor"))
+        C = parse_input(args.input, "tensor")
+        try:
+            rep = spectra.collatz_wielandt_max(C)
+        except ValueError as e:         # a zero row
+            raise ParseError(args.input, None, str(e)) from None
         print(f"lambda_max = {fmt(rep.lam)}  certificate=[{fmt(rep.lo)}, {fmt(rep.hi)}]"
               f"  converged={rep.converged}")
         return 0 if rep.converged else 3
@@ -289,7 +293,7 @@ def cmd_spectrum(args) -> int:
         if not p >= 1:               # no p-Laplacian pair below 1 (or at nan)
             print(f"spectrum --mode dinkelbach needs --p >= 1, got {fmt(p)}", file=sys.stderr)
             return 2
-        pair = spectra.graph_plap_pair(g, p) if p > 1 else spectra.one_laplacian_pair(g)
+        pair = spectra.graph_plap_pair(g, p)
         proj = spectra.projection_diag_power(g.degrees, p, np.ones(g.n))
         ep = spectra.dinkelbach_multistart(pair, proj, g.n, seed=args.seed,
                                            starts=min(16, args.iters),

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .setfn import CapExceeded, full_mask, mask_members, mask_of, popcount, submasks
 from .simplex import l1_residual_lp, linprog  # noqa: F401  linprog: looked up here by tracers
+from .spectra import PowerSum, sign_canonical_box
 from .structures import (ChemicalHypergraph, SimplicialComplex, WeightedGraph,
                          signed_components)
 
@@ -460,7 +461,7 @@ def quotient_l1_norm(x, image_basis, degrees) -> float:
     Z = np.asarray(image_basis, dtype=float)
     n = x.size
     if Z.size == 0:
-        return float(np.sum(degrees * np.abs(x)))
+        return PowerSum(1, degrees, np.eye(n))(x)
     res = l1_residual_lp(Z.reshape(n, -1), x, degrees)
     if res.status != "optimal":
         return np.inf
@@ -498,32 +499,26 @@ def down_cheeger(K: SimplicialComplex, d: int, n_list=(1, 2)) -> SimplicialHRepo
 
 
 def _quotient_enumeration(M, deg, img, n_list) -> SimplicialHReport:
-    """min over integer x != 0 with entries in [-N, N], first nonzero entry
-    positive, of ||M x||_1 over the deg-weighted l1 norm of x modulo the
-    column span of img, per N in n_list; an N-box of more than
-    ``QUOTIENT_CAP`` vectors raises ``CapExceeded``."""
+    """min over the sign-canonical N-box of ||M x||_1 over the deg-weighted
+    l1 norm of x modulo the column span of img, per N in n_list (M and deg
+    integral: both l1 norms of the whole box are one product each); an
+    N-box of more than ``QUOTIENT_CAP`` vectors raises ``CapExceeded``."""
     nd = len(deg)
+    numerator, plain = PowerSum(1, np.ones(M.shape[0]), M), PowerSum(1, deg, np.eye(nd))
     per_n = {}
     wit = None
     best_all = np.inf
     for N in n_list:
         if (2 * N + 1) ** nd > QUOTIENT_CAP:
             raise CapExceeded("multiset enumeration over the N-box too large")
+        X = sign_canonical_box(nd, N)
         best = np.inf
-        for digits in product(range(-N, N + 1), repeat=nd):
-            if all(v == 0 for v in digits):
-                continue
-            first = next(v for v in digits if v != 0)
-            if first < 0:
-                continue
-            x = np.array(digits, dtype=float)
-            num = float(np.sum(np.abs(M @ x)))
+        for digits, num, cheap in zip(map(tuple, X.tolist()), numerator.exact(X), plain.exact(X)):
             if num == 0:
                 continue
-            cheap = float(np.sum(deg * np.abs(x)))
             if cheap > 0 and num / cheap >= best:
                 continue            # quotient norm <= plain norm: prune
-            den = quotient_l1_norm(x, img, deg)
+            den = quotient_l1_norm(np.array(digits, dtype=float), img, deg)
             if den <= 1e-12:
                 continue            # x is a coboundary: excluded
             val = num / den

@@ -25,34 +25,32 @@ _UNIT_INVARIANT = (int, Fraction, float)
 def _block_terms(x: Sequence) -> list[tuple[object, int]]:
     """(weight, upper-level-set mask) pairs with zero weights dropped.
 
-    The one place a block is sorted into level sets: weight
-    x_(i) - x_(i-1) (x_(-1) = 0) goes with the mask {j: x_j > x_(i-1)},
-    all of V for i = 0.  Masks are built incrementally along the sorted
-    order (suffix masks of the permutation), which keeps the call cheap.
+    The one place a block is sorted into level sets: for the distinct
+    values v_0 < v_1 < ... of x, weight v_i - v_(i-1) (v_(-1) = 0) goes with
+    the mask {j: x_j >= v_i}.  Masks are suffix masks of the sorted order.
+    A level's value takes the widest type among its tied coordinates
+    (1 + 0 * 1.0 is 1.0), so a weight's type does not depend on the order
+    of ties.
     """
     n = len(x)
-    # stable sort: equal coordinates keep index order, the fixed tie-break
     order = sorted(range(n), key=x.__getitem__)
     suffix = [0] * (n + 1)
     for t in range(n - 1, -1, -1):
         suffix[t] = suffix[t + 1] | (1 << order[t])
+    xs = [x[j] for j in order]
     terms = []
     prev = 0
-    ptr = 0
-    for i in range(n):
-        v = x[order[i]]
+    t = 0
+    while t < n:
+        start, v = t, xs[t]
+        t += 1
+        while t < n and xs[t] == v:     # a tie: the level goes on
+            v = v + 0 * xs[t]
+            t += 1
         w = v - prev
         prev = v
-        if w == 0:
-            continue
-        if i == 0:
-            mask = suffix[0]
-        else:
-            thr = x[order[i - 1]]
-            while ptr < n and x[order[ptr]] <= thr:
-                ptr += 1
-            mask = suffix[ptr]
-        terms.append((w, mask))
+        if w != 0:
+            terms.append((w, suffix[start]))
     return terms
 
 

@@ -2,8 +2,10 @@
 
 An eigenpair (lambda, x) satisfies 0 in dF(x) - lambda dG(x), with d the
 Clarke subdifferential.  Subdifferentials are carried as finite data
-(center + segment directions + hull points), which turns the membership
-test into a small linear program.
+(center + segment directions), which turns the membership test into a
+small linear program.  Every function sum_r w_r |(M x)_r|^p of the graph
+and chemical pairs is one ``PowerSum``: its value, its subgradient set and,
+at p = 1 with integer weights, its exact values.
 
 The module also holds the dense symmetric eigensolver (round-robin Jacobi),
 the Dinkelbach/RatioDCA iteration, the Collatz-Wielandt power iteration
@@ -14,7 +16,7 @@ linear pairs, and the norm-duality checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -120,16 +122,14 @@ def quadratic_pair_spectrum(A, B) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SubgradientSet:
-    """Polytope  center + sum_i [-1,1] seg_i + conv(points).
+    """Polytope  center + sum_i [-1,1] seg_i.
 
     ``segments`` is an (m, n) array of segment directions (may be empty);
-    ``points`` an (r, n) array of hull generators (empty means {0}).
-    A smooth gradient is a bare center.
+    a smooth gradient is a bare center.
     """
 
     center: np.ndarray
     segments: Optional[np.ndarray] = None
-    points: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -138,23 +138,86 @@ class SubgradientSet:
             self.segments = np.zeros((0, n))
         else:
             self.segments = np.asarray(self.segments, dtype=float).reshape(-1, n)
-        if self.points is None:
-            self.points = np.zeros((0, n))
-        else:
-            self.points = np.asarray(self.points, dtype=float).reshape(-1, n)
 
     @property
     def n(self) -> int:
         return self.center.size
 
     def is_singleton(self) -> bool:
-        return self.segments.shape[0] == 0 and self.points.shape[0] == 0
+        return self.segments.shape[0] == 0
 
     def any_point(self) -> np.ndarray:
-        g = self.center.copy()
-        if self.points.shape[0]:
-            g = g + self.points[0]
-        return g
+        return self.center.copy()
+
+
+class PowerSum:
+    """x -> sum_r w_r |(M x)_r|^p for p >= 1, weights w_r >= 0 and an
+    integer matrix M: the one evaluation and the one subgradient rule of
+    every p-Laplacian-type function here.
+
+    - The value sums w_r |t_r|^p (t = M x) over the rows in order, one
+      scalar power per row.
+    - ``subgradient(x)`` is M^T c with c_r = p w_r |t_r|^(p-1) sgn t_r: the
+      gradient for p > 1, and for p = 1 the center, plus a segment w_r M_r
+      for every row with t_r = 0.  M^T c adds the rows in order onto +0.0.
+      The identity is the fast path: t is x, M^T c is c itself and the
+      powers are one numpy power over x.
+    - With p = 1 and every weight an integer, ``exact(X)`` gives the values
+      at the integer points X (one per row) as Python ints.
+    """
+
+    def __init__(self, p: float, weights, M):
+        if not p >= 1:
+            raise ValueError(f"a power sum needs p >= 1, got {p}")
+        self.p = p
+        self.w = np.asarray(weights, dtype=float)
+        self.M = np.asarray(M, dtype=np.int64)
+        self._identity = np.array_equal(self.M, np.eye(self.w.size))
+        self._rows, self._cols = np.nonzero(self.M)         # row by row, in order
+        self._vals = self.M[self._rows, self._cols].astype(float)
+        self.int_weights = (np.array([int(v) for v in self.w.tolist()], dtype=object)
+                   if p == 1 and np.array_equal(self.w, np.round(self.w)) else None)
+
+    @property
+    def ternary_cones(self) -> bool:
+        """p = 1 and every row is e_i or e_i +- e_j: the function is linear
+        on the chambers of {x_i = +-x_j, x_i = 0}, simplicial cones on
+        ternary rays."""
+        A = np.abs(self.M)
+        return self.p == 1 and bool((A <= 1).all() and (A.sum(axis=1) <= 2).all())
+
+    def _image(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self._identity:
+            return x
+        return np.bincount(self._rows, self._vals * x[self._cols], minlength=self.w.size)
+
+    def __call__(self, x) -> float:
+        p, total = self.p, 0.0
+        for w, a in zip(self.w.tolist(), np.abs(self._image(x)).tolist()):
+            total += w * a ** p
+        return total
+
+    def subgradient(self, x) -> SubgradientSet:
+        t = self._image(x)
+        p = self.p
+        a = np.abs(t)
+        # |t|^(p-1) as one numpy power for the identity and as one scalar
+        # power per row otherwise, as G's and F's gradients have always
+        # taken it: the two differ in the last bit now and then
+        aq = a ** (p - 1) if self._identity else np.array([v ** (p - 1) for v in a.tolist()])
+        c = p * self.w * (aq * np.sign(t))
+        if not self._identity:
+            c = np.bincount(self._cols, c[self._rows] * self._vals, minlength=self.M.shape[1])
+        if p != 1:
+            return SubgradientSet(c)
+        Z = t == 0
+        return SubgradientSet(c, self.w[Z, None] * self.M[Z])
+
+    def exact(self, X) -> list:
+        """The values at the integer points X (rows) as Python ints; for
+        p = 1 and integer weights, ``int_weights``."""
+        return (np.abs(np.asarray(X) @ self.M.T) @ self.int_weights).tolist()
 
 
 @dataclass
@@ -169,21 +232,21 @@ class EigenPair:
 @dataclass
 class HomogeneousPair:
     """Two p-homogeneous locally Lipschitz functions with subgradient
-    oracles.  ``tag`` records the structure class so solvers can pick
-    exact routes.  ``F_grad(x)`` gives (F(x), one subgradient of F at x)
-    in one call, for the Dinkelbach inner descent; unset, the descent
-    takes (F(x), F_subgrad(x).any_point())."""
+    oracles.  F and G are ``PowerSum``s for graph pairs, and the chemical
+    pair's G is one; the ternary enumeration reads its exact route from
+    them.  ``F_grad(x)`` gives (F(x), one subgradient of F at x) in one
+    call, for the Dinkelbach inner descent; unset, the descent takes
+    (F(x), F_subgrad(x).any_point()).  ``inner_argmin(w)``, when set,
+    solves that descent's problem, argmin over the unit ball of
+    F(z) - w.z, directly."""
 
     p: float
     F: Callable[[np.ndarray], float]
     G: Callable[[np.ndarray], float]
     F_subgrad: Callable[[np.ndarray], SubgradientSet]
     G_subgrad: Callable[[np.ndarray], SubgradientSet]
-    tag: str = "composite"
-    data: dict = field(default_factory=dict)
-    exact_F: Optional[Callable] = None
-    exact_G: Optional[Callable] = None
     F_grad: Optional[Callable] = None
+    inner_argmin: Optional[Callable] = None
 
     def ratio(self, x) -> float:
         return self.F(x) / self.G(x)
@@ -198,26 +261,19 @@ def quadratic_form_pair(A, B) -> HomogeneousPair:
         lambda x: float(x @ B @ x),
         lambda x: SubgradientSet(2.0 * (A @ x)),
         lambda x: SubgradientSet(2.0 * (B @ x)),
-        tag="quadratic-form",
-        data={"A": A, "B": B},
+        inner_argmin=lambda w: _inner_quadratic(A, w),
     )
 
 
-def _abs_subgrad_terms(x, weights):
-    """center and segments of d sum_i w_i |x_i|."""
-    n = len(x)
-    center = np.zeros(n)
-    segs = []
-    for i in range(n):
-        if x[i] > 0:
-            center[i] = weights[i]
-        elif x[i] < 0:
-            center[i] = -weights[i]
-        else:
-            e = np.zeros(n)
-            e[i] = weights[i]
-            segs.append(e)
-    return center, np.array(segs).reshape(-1, n)
+def _graph_pair(graph: WeightedGraph, p: float, sign: int) -> HomogeneousPair:
+    """F(x) = sum_e w_e |x_i + sign x_j|^p, G(x) = sum_i deg_i |x_i|^p."""
+    edges = graph.edges()
+    M = np.zeros((len(edges), graph.n), dtype=np.int64)
+    for r, (i, j, _) in enumerate(edges):
+        M[r, i], M[r, j] = 1, sign
+    F = PowerSum(p, [w for _, _, w in edges], M)
+    G = PowerSum(p, graph.degrees, np.eye(graph.n))
+    return HomogeneousPair(p, F, G, F.subgradient, G.subgradient)
 
 
 def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> HomogeneousPair:
@@ -226,91 +282,13 @@ def one_laplacian_pair(graph: WeightedGraph, signless: bool = False) -> Homogene
     Piecewise linear and 1-homogeneous; the linearity cells are simplicial
     cones on ternary rays, so ternary enumeration is exact for this pair.
     """
-    deg = graph.degrees
-    edges = graph.edges()
-    sgn = 1.0 if signless else -1.0
-
-    def F(x):
-        return float(sum(w * abs(x[i] + sgn * x[j]) for i, j, w in edges))
-
-    def G(x):
-        return float(sum(deg[i] * abs(x[i]) for i in range(graph.n)))
-
-    def F_sub(x):
-        n = graph.n
-        center = np.zeros(n)
-        segs = []
-        for i, j, w in edges:
-            t = x[i] + sgn * x[j]
-            d = np.zeros(n)
-            d[i] = w
-            d[j] = sgn * w
-            if t > 0:
-                center += d
-            elif t < 0:
-                center -= d
-            else:
-                segs.append(d)
-        return SubgradientSet(center, np.array(segs).reshape(-1, n))
-
-    def G_sub(x):
-        center, segs = _abs_subgrad_terms(x, deg)
-        return SubgradientSet(center, segs)
-
-    exactF = None
-    exactG = None
-    if graph.integral:
-        # integer weights, rounded once; int coordinates stay int and only
-        # the total becomes a Fraction
-        isgn = 1 if signless else -1
-        iedges = [(i, j, int(round(w))) for i, j, w in edges]
-        ideg = [int(round(d)) for d in deg]
-
-        def _exact(v):
-            return v if isinstance(v, int) else Fraction(v)
-
-        def exactF(x):
-            x = [_exact(v) for v in x]
-            return Fraction(sum(w * abs(x[i] + isgn * x[j]) for i, j, w in iedges))
-
-        def exactG(x):
-            return Fraction(sum(d * abs(_exact(v)) for d, v in zip(ideg, x)))
-
-    return HomogeneousPair(1.0, F, G, F_sub, G_sub,
-                           tag="signless-one-laplacian" if signless else "one-laplacian",
-                           data={"graph": graph},
-                           exact_F=exactF, exact_G=exactG)
+    return _graph_pair(graph, 1.0, 1 if signless else -1)
 
 
 def graph_plap_pair(graph: WeightedGraph, p: float) -> HomogeneousPair:
-    """Normalized graph p-Laplacian pair: sum w|x_i - x_j|^p over sum deg|x_i|^p."""
-    if p <= 1:
-        raise ValueError("use one_laplacian_pair for p = 1")
-    edges = graph.edges()
-    deg = graph.degrees
-
-    def F(x):
-        return float(sum(w * abs(x[i] - x[j]) ** p for i, j, w in edges))
-
-    def G(x):
-        return float(sum(deg[i] * abs(x[i]) ** p for i in range(graph.n)))
-
-    def phi(t):
-        return abs(t) ** (p - 1) * np.sign(t)
-
-    def F_sub(x):
-        g = np.zeros(graph.n)
-        for i, j, w in edges:
-            t = x[i] - x[j]
-            g[i] += p * w * phi(t)
-            g[j] -= p * w * phi(t)
-        return SubgradientSet(g)
-
-    def G_sub(x):
-        return SubgradientSet(p * deg * phi(np.asarray(x, dtype=float)))
-
-    return HomogeneousPair(p, F, G, F_sub, G_sub, tag="power-form",
-                           data={"graph": graph})
+    """Normalized graph p-Laplacian pair, p >= 1: sum w|x_i - x_j|^p over
+    sum deg|x_i|^p."""
+    return _graph_pair(graph, p, -1)
 
 
 def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
@@ -320,13 +298,13 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
     F_grad makes one left-to-right pass over the edges (the sum never
     compensated, the lowest index winning a tie) and gives F and a
     subgradient as a list; F and F_sub are its two halves, and no point's
-    terms are kept between calls."""
+    terms are kept between calls.  G is a ``PowerSum``."""
     from .setfn import mask_members
-    deg = H.degrees
     # a one-member side is a bare index: no max or min call for it
     sides = [tuple(I[0] if len(I) == 1 else I for I in map(mask_members, e))
              for e in H.edges]
     q = p - 1
+    G = PowerSum(p, H.degrees, np.eye(H.n))
 
     def F_grad(x):
         xl = np.asarray(x, dtype=float).tolist()
@@ -346,21 +324,9 @@ def chemical_plap_pair(H: ChemicalHypergraph, p: float) -> HomogeneousPair:
             g[j] -= c
         return total, g
 
-    def G(x):
-        return float(sum(deg[i] * abs(x[i]) ** p for i in range(H.n)))
-
-    def phi(t):
-        return abs(t) ** (p - 1) * np.sign(t)
-
-    def G_sub(x):
-        if p > 1:
-            return SubgradientSet(p * deg * phi(np.asarray(x, dtype=float)))
-        center, segs = _abs_subgrad_terms(x, deg)
-        return SubgradientSet(center, segs)
-
     return HomogeneousPair(p, lambda x: F_grad(x)[0], G,
-                           lambda x: SubgradientSet(F_grad(x)[1]), G_sub,
-                           tag="power-form", data={"hypergraph": H}, F_grad=F_grad)
+                           lambda x: SubgradientSet(F_grad(x)[1]), G.subgradient,
+                           F_grad=F_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -372,60 +338,28 @@ def _dual_gap(U: SubgradientSet, V: SubgradientSet, lam: float, Y) -> float:
     ||u - lam v||_inf is the max of y.(u - lam v) over ||y||_1 <= 1, so each
     row y of ``Y`` (||y||_1 = 1) bounds the gap by the min over U x V of
     y.(u - lam v): y.(c_U - lam c_V) - sum |y.s| over U's segments - |lam|
-    sum |y.s| over V's, plus the least y.p over U's points and the least
-    -lam y.q over V's."""
+    sum |y.s| over V's."""
     L = Y @ (U.center - lam * V.center)
     L -= np.abs(Y @ U.segments.T).sum(axis=1) + abs(lam) * np.abs(Y @ V.segments.T).sum(axis=1)
-    for P in (U.points, -lam * V.points):
-        if P.shape[0]:
-            L += (Y @ P.T).min(axis=1)
     return max(float(L.max()), 0.0)
 
 
 def polytope_gap(U: SubgradientSet, V: SubgradientSet, lam: float) -> float:
-    """min over u in U, v in V of ||u - lam v||_inf, by LP."""
-    n = U.n
-    mF, rF = U.segments.shape[0], U.points.shape[0]
-    mG, rG = V.segments.shape[0], V.points.shape[0]
-    if U.is_singleton() and V.is_singleton():
-        return float(np.max(np.abs(U.center - lam * V.center)))
-    nv = mF + rF + mG + rG + 1
-    idx_eps = nv - 1
+    """min over u in U, v in V of ||u - lam v||_inf, by LP: the variables
+    are U's segment weights, V's (each in [-1, 1]) and the bound eps >= 0,
+    with rows +-(u - lam v)_i <= eps for each coordinate i."""
     const = U.center - lam * V.center
-
-    def row(i, sign):
-        r = np.zeros(nv)
-        r[:mF] = sign * U.segments[:, i]
-        r[mF:mF + rF] = sign * U.points[:, i]
-        r[mF + rF:mF + rF + mG] = -sign * lam * V.segments[:, i]
-        r[mF + rF + mG:mF + rF + mG + rG] = -sign * lam * V.points[:, i]
-        r[idx_eps] = -1.0
-        return r
-
-    A_ub, b_ub = [], []
-    for i in range(n):
-        A_ub.append(row(i, 1.0))
-        b_ub.append(-const[i])
-        A_ub.append(row(i, -1.0))
-        b_ub.append(const[i])
-    A_eq, b_eq = [], []
-    if rF:
-        e = np.zeros(nv)
-        e[mF:mF + rF] = 1.0
-        A_eq.append(e)
-        b_eq.append(1.0)
-    if rG:
-        e = np.zeros(nv)
-        e[mF + rF + mG:mF + rF + mG + rG] = 1.0
-        A_eq.append(e)
-        b_eq.append(1.0)
-    bounds = ([(-1.0, 1.0)] * mF + [(0.0, None)] * rF
-              + [(-1.0, 1.0)] * mG + [(0.0, None)] * rG + [(0.0, None)])
+    if U.is_singleton() and V.is_singleton():
+        return float(np.max(np.abs(const)))
+    B = np.hstack([U.segments.T, -lam * V.segments.T])
+    nv = B.shape[1] + 1
+    A_ub = np.empty((2 * U.n, nv))
+    A_ub[0::2, :-1], A_ub[1::2, :-1], A_ub[:, -1] = B, -B, -1.0
+    b_ub = np.empty(2 * U.n)
+    b_ub[0::2], b_ub[1::2] = -const, const
     c = np.zeros(nv)
-    c[idx_eps] = 1.0
-    res = linprog(c, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None, bounds=bounds)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-1.0, 1.0)] * (nv - 1) + [(0.0, None)])
     if res.status != "optimal":
         return np.inf
     return max(res.objective, 0.0)
@@ -610,8 +544,8 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
     """Minimize F(x) / G_Pi(x) by the Dinkelbach-type scheme.
 
     Each step linearizes G at the current point, solves the inner convex
-    problem on the unit ball (exactly for quadratic forms, by projected
-    subgradient descent otherwise) and re-projects along Pi.  A candidate
+    problem on the unit ball (by the pair's ``inner_argmin`` where it has
+    one, as quadratic forms do, by projected subgradient descent otherwise) and re-projects along Pi.  A candidate
     is accepted only if the ratio decreases, so the ratio sequence is
     monotone non-increasing; for nonconvex F the result is a
     local estimate, never claimed global.  A start without a finite ratio
@@ -635,7 +569,6 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
     history = [r]
     if not np.isfinite(r):
         return EigenPair(lam=r, x=x, history=history, converged=False)
-    quad = pair.tag == "quadratic-form"
     fg = pair.F_grad or (lambda y: (pair.F(y), pair.F_subgrad(y).any_point()))
     converged = False
     for _ in range(max_outer):
@@ -645,8 +578,8 @@ def dinkelbach_ratiodca(pair: HomogeneousPair, proj: SubspaceProjection, x0,
             if nb > 0:
                 v -= (v @ b) / nb * b
         w = r * v
-        if quad:
-            z = _inner_quadratic(pair.data["A"], w)
+        if pair.inner_argmin:
+            z = pair.inner_argmin(w)
         else:
             z = _inner_descent(fg, w, x, iters=inner_iters)
         cand, rc = project_out(z) if np.any(z) else (x, r)
@@ -772,12 +705,14 @@ def collatz_wielandt_max(C, tol: float = 1e-10) -> CWReport:
     the identity (sum_i x_i^k).  The iteration starts at the uniform
     vector and runs at most ``CW_MAX_ITERS`` steps.  The certificate is
     the interval [min_i, max_i] of (C x^{k-1})_i / x_i^{k-1}, whose
-    collapse proves optimality.
+    collapse proves optimality.  A zero row of a nonzero C raises
+    ``ValueError``: there x_i decays to 0 and the ratio becomes 0 / 0.
     """
     if isinstance(C, SymmetricTensor):
         k = C.order
         n = C.dim
         apply_C = C.apply
+        rows = {i for idx in C.entries for i in idx}
     else:
         Cm = np.asarray(C, dtype=float)
         if np.any(Cm < 0):
@@ -785,6 +720,11 @@ def collatz_wielandt_max(C, tol: float = 1e-10) -> CWReport:
         k = 2
         n = Cm.shape[0]
         apply_C = lambda x: Cm @ x
+        rows = set(np.flatnonzero(Cm.any(axis=1)).tolist())
+    zero = [i for i in range(n) if i not in rows]
+    if rows and zero:
+        raise ValueError(f"row {zero[0]} of C is zero (vertex {zero[0] + 1} counting from 1), "
+                         f"so the Collatz-Wielandt ratio there becomes 0 / 0")
 
     x = np.full(n, 1.0)
     x = x / np.linalg.norm(x)
@@ -808,14 +748,26 @@ def collatz_wielandt_max(C, tol: float = 1e-10) -> CWReport:
 # ---------------------------------------------------------------------------
 
 TERNARY_CAP = 8
-EXACT_TERNARY_TAGS = {"one-laplacian", "signless-one-laplacian"}
+
+
+def sign_canonical_box(n: int, N: int) -> np.ndarray:
+    """The nonzero integer vectors with entries in [-N, N] whose first
+    nonzero entry is positive, one per row in ``itertools.product`` order:
+    one of each pair +-x."""
+    X = np.indices((2 * N + 1,) * n).reshape(n, (2 * N + 1) ** n).T - N
+    # the first nonzero entry's sign is the sign of sum_k sgn(x_k) 3^(n-1-k)
+    return X[np.sign(X) @ 3 ** np.arange(n - 1, -1, -1) > 0]
 
 
 @lru_cache(maxsize=TERNARY_CAP)
 def _ternary_rows(n: int) -> np.ndarray:
-    """The 3^n - 1 nonzero vectors of {-1, 0, 1}^n, each over its l1 norm."""
-    Y = np.indices((3,) * n).reshape(n, 3 ** n).T - 1.0
-    Y = np.delete(Y, Y.shape[0] // 2, axis=0)       # the zero vector
+    """The 3^n - 1 nonzero vectors of {-1, 0, 1}^n in product order, each
+    over its l1 norm: the sign-canonical box is the half above 0, and its
+    negation, reversed, the half below."""
+    X = sign_canonical_box(n, 1)
+    # column-major: BLAS's order of summing each row of Y @ v depends on
+    # the layout, and the dual bound's last bits on that order
+    Y = np.asfortranarray(np.vstack([-X[::-1], X]), dtype=float)
     Y /= np.abs(Y).sum(axis=1, keepdims=True)
     Y.flags.writeable = False                       # one array for every caller
     return Y
@@ -834,9 +786,11 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
                             tol: float = 1e-8) -> TernarySpectrum:
     """Certified eigenvalues with witnesses in {-1,0,1}^n.
 
-    Every nonzero ternary vector (up to global sign; the pair is even) is
-    scored by lambda = F(x)/G(x), exactly when the pair has ``exact_F``,
-    and then decided in this order:
+    Every vector of the sign-canonical box (the pair is even) is scored by
+    lambda = F(x)/G(x).  When F and G are ``PowerSum``s with exact values
+    (p = 1, integer weights), lambda is a Fraction of the two Python ints
+    that one product gives for every vector at once; otherwise it is the
+    float ratio.  Each vector is then decided in this order:
 
     1. lambda already found (exactly for exact pairs, within ``tol`` for
        float pairs): skipped before any subgradient is built;
@@ -852,41 +806,42 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     3. otherwise kept when the residual LP ``polytope_gap`` certifies the
        eigenpair.
 
-    For pairs whose linearity cells are simplicial cones on ternary rays
-    (graph 1-Laplacians and signless variants) this is the whole spectrum;
-    otherwise a certified subset, which the ``exact_for_pair`` flag records.
+    When F and G are linear on simplicial cones on ternary rays (the
+    ``ternary_cones`` of their ``PowerSum`` rows: graph 1-Laplacians and
+    signless variants) this is the whole spectrum; otherwise a certified
+    subset, which the ``exact_for_pair`` flag records.
     """
     if n > TERNARY_CAP:
         raise ValueError(f"ternary enumeration capped at n <= {TERNARY_CAP}")
+    F, G = pair.F, pair.G
+    sums = isinstance(F, PowerSum) and isinstance(G, PowerSum)
+    X = sign_canonical_box(n, 1)
+    exact = (list(map(Fraction, F.exact(X), G.exact(X)))
+             if sums and F.int_weights is not None and G.int_weights is not None else None)
     found: dict = {}
     seen = set()
-    tested = 0
     E, Y = np.vstack([np.eye(n), -np.eye(n)]), _ternary_rows(n)
-    for digits in product((-1, 0, 1), repeat=n):
-        if all(d == 0 for d in digits):
-            continue
-        first = next(d for d in digits if d != 0)
-        if first < 0:
-            continue
+    for k, digits in enumerate(map(tuple, X.tolist())):
         x = np.array(digits, dtype=float)
-        tested += 1
-        if pair.exact_F is not None:
-            lam_exact = pair.exact_F(digits) / pair.exact_G(digits)
-            lam = float(lam_exact)
+        if exact is not None:
+            key = exact[k]
+            lam = float(key)
+            seen.add(key)
+            if key in found:
+                continue
         else:
-            lam_exact = None
-            lam = pair.ratio(x)
-        seen.add(lam_exact if lam_exact is not None else round(lam, 12))
-        if lam_exact in found or lam_exact is None and any(abs(k - lam) <= tol for k in found):
-            continue
+            key = lam = pair.ratio(x)
+            seen.add(round(lam, 12))
+            if any(abs(v - lam) <= tol for v in found):
+                continue
         U, V = pair.F_subgrad(x), pair.G_subgrad(x)
         if _dual_gap(U, V, lam, E) > tol or _dual_gap(U, V, lam, Y) > tol:
             continue
         if polytope_gap(U, V, lam) <= tol:
-            found[lam_exact if lam_exact is not None else lam] = digits
+            found[key] = digits
     vals = sorted(found.keys(), key=float)
     return TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
-                           pair.tag in EXACT_TERNARY_TAGS, tested)
+                           sums and F.ternary_cones and G.ternary_cones, len(X))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Test-side references for the spectral layer: the cyclic Jacobi loop that
 copied its rows and columns, the round-robin Jacobi schedule applied one
 rotation at a time, the ternary enumeration that ran the residual LP on
-every vector and the one that rejected by coordinate intervals first, the one-Laplacian's exact F and G in Fraction arithmetic,
-a pair composed with a linear map, and the Dinkelbach inner descent with
-F and its subgradient as two callbacks (the chemical pair's over
-memoized edge terms)."""
+every vector and the one that rejected by coordinate intervals first, the
+graph pairs and the chemical pair's G as per-pair closures (with the
+one-Laplacian's exact F and G), the one-Laplacian's exact F and G in
+Fraction arithmetic, the residual LP as it was built with hull points, a
+pair composed with a linear map, and the Dinkelbach inner descent with F
+and its subgradient as two callbacks (the chemical pair's over memoized
+edge terms)."""
 
 import dataclasses
 import math
@@ -124,7 +127,7 @@ def ternary_residual_first(pair, n, tol=1e-8):
             continue
         x = np.array(digits, dtype=float)
         tested += 1
-        if pair.exact_F is not None:
+        if getattr(pair, "exact_F", None) is not None:
             lam_exact = pair.exact_F(digits) / pair.exact_G(digits)
             lam = float(lam_exact)
         else:
@@ -139,20 +142,15 @@ def ternary_residual_first(pair, n, tol=1e-8):
                 found[lam] = digits
     vals = sorted(found.keys(), key=float)
     return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
-                                   pair.tag in spectra.EXACT_TERNARY_TAGS, tested)
+                                   getattr(pair, "exact_for_pair", False), tested)
 
 
 def interval_gap(U, V, lam):
     """Lower bound on ``spectra.polytope_gap`` without an LP: the largest
     distance from 0 to a coordinate's range of u_i - lam v_i, which is
-    center +- sum |segments| plus the points' coordinate-wise min and max."""
+    center +- sum |segments|."""
     c = U.center - lam * V.center
     r = np.abs(U.segments).sum(axis=0) + np.abs(lam * V.segments).sum(axis=0)
-    for P in (U.points, -lam * V.points):
-        if P.shape[0]:
-            lo, hi = P.min(axis=0), P.max(axis=0)
-            c = c + 0.5 * (lo + hi)
-            r = r + 0.5 * (hi - lo)
     return max(float(np.max(np.abs(c) - r)), 0.0)
 
 
@@ -172,7 +170,7 @@ def ternary_interval_then_lp(pair, n, tol=1e-8):
             continue
         x = np.array(digits, dtype=float)
         tested += 1
-        if pair.exact_F is not None:
+        if getattr(pair, "exact_F", None) is not None:
             lam_exact = pair.exact_F(digits) / pair.exact_G(digits)
             lam = float(lam_exact)
         else:
@@ -188,7 +186,7 @@ def ternary_interval_then_lp(pair, n, tol=1e-8):
             found[lam_exact if lam_exact is not None else lam] = digits
     vals = sorted(found.keys(), key=float)
     return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
-                                   pair.tag in spectra.EXACT_TERNARY_TAGS, tested)
+                                   getattr(pair, "exact_for_pair", False), tested)
 
 
 def fraction_exact_pair(graph, signless=False):
@@ -217,13 +215,163 @@ def compose_odd_linear(pair, M):
     MT = M.T
 
     def image(S):
-        return spectra.SubgradientSet(MT @ S.center, (MT @ S.segments.T).T,
-                                      (MT @ S.points.T).T)
+        return spectra.SubgradientSet(MT @ S.center, (MT @ S.segments.T).T)
 
     return spectra.HomogeneousPair(
         pair.p, lambda x: pair.F(M @ x), lambda x: pair.G(M @ x),
         lambda x: image(pair.F_subgrad(M @ x)),
-        lambda x: image(pair.G_subgrad(M @ x)), tag="composite")
+        lambda x: image(pair.G_subgrad(M @ x)))
+
+
+@dataclasses.dataclass
+class ClosurePair:
+    """A pair as closures, with the one-Laplacian's exact F and G (None
+    elsewhere) and the flag for pairs whose linearity cells are cones on
+    ternary rays, which the ternary references read."""
+    p: float
+    F: object
+    G: object
+    F_subgrad: object
+    G_subgrad: object
+    exact_F: object = None
+    exact_G: object = None
+    exact_for_pair: bool = False
+
+    def ratio(self, x):
+        return self.F(x) / self.G(x)
+
+
+def _abs_subgrad_terms(x, weights):
+    """center and segments of d sum_i w_i |x_i|."""
+    n = len(x)
+    center = np.zeros(n)
+    segs = []
+    for i in range(n):
+        if x[i] > 0:
+            center[i] = weights[i]
+        elif x[i] < 0:
+            center[i] = -weights[i]
+        else:
+            e = np.zeros(n)
+            e[i] = weights[i]
+            segs.append(e)
+    return center, np.array(segs).reshape(-1, n)
+
+
+def closure_graph_pair(graph, p, signless=False):
+    """F(x) = sum_e w_e |x_i -/+ x_j|^p and G(x) = sum_i deg_i |x_i|^p with
+    their subgradient sets, as ``one_laplacian_pair`` (p = 1) and
+    ``graph_plap_pair`` (p > 1, plain) built them: F's value and gradient
+    edge by edge with a scalar power, G's gradient as one numpy power over
+    x, and at p = 1 a segment per zero edge and per zero coordinate.
+    Integral weights give p = 1 the exact F and G in ints and Fractions."""
+    deg = graph.degrees
+    edges = graph.edges()
+    sgn = 1.0 if signless else -1.0
+
+    def phi(t):
+        return abs(t) ** (p - 1) * np.sign(t)
+
+    def F(x):
+        return float(sum(w * abs(x[i] + sgn * x[j]) ** p for i, j, w in edges))
+
+    def G(x):
+        return float(sum(deg[i] * abs(x[i]) ** p for i in range(graph.n)))
+
+    def F_sub(x):
+        n = graph.n
+        if p > 1:
+            g = np.zeros(n)
+            for i, j, w in edges:
+                t = x[i] + sgn * x[j]
+                g[i] += p * w * phi(t)
+                g[j] += sgn * (p * w * phi(t))
+            return spectra.SubgradientSet(g)
+        center = np.zeros(n)
+        segs = []
+        for i, j, w in edges:
+            t = x[i] + sgn * x[j]
+            d = np.zeros(n)
+            d[i] = w
+            d[j] = sgn * w
+            if t > 0:
+                center += d
+            elif t < 0:
+                center -= d
+            else:
+                segs.append(d)
+        return spectra.SubgradientSet(center, np.array(segs).reshape(-1, n))
+
+    def G_sub(x):
+        if p > 1:
+            return spectra.SubgradientSet(p * deg * phi(np.asarray(x, dtype=float)))
+        return spectra.SubgradientSet(*_abs_subgrad_terms(x, deg))
+
+    pair = ClosurePair(p, F, G, F_sub, G_sub, exact_for_pair=p == 1)
+    if p == 1 and graph.integral:
+        # integer weights, rounded once; int coordinates stay int and only
+        # the total becomes a Fraction
+        isgn = 1 if signless else -1
+        iedges = [(i, j, int(round(w))) for i, j, w in edges]
+        ideg = [int(round(d)) for d in deg]
+
+        def _exact(v):
+            return v if isinstance(v, int) else Fraction(v)
+
+        def exactF(x):
+            x = [_exact(v) for v in x]
+            return Fraction(sum(w * abs(x[i] + isgn * x[j]) for i, j, w in iedges))
+
+        def exactG(x):
+            return Fraction(sum(d * abs(_exact(v)) for d, v in zip(ideg, x)))
+
+        pair.exact_F, pair.exact_G = exactF, exactG
+    return pair
+
+
+def closure_chemical_G(H, p):
+    """G(x) = sum deg_i |x_i|^p of ``spectra.chemical_plap_pair`` and its
+    subgradient set, as closures."""
+    deg = H.degrees
+
+    def G(x):
+        return float(sum(deg[i] * abs(x[i]) ** p for i in range(H.n)))
+
+    def G_sub(x):
+        if p > 1:
+            phi = np.abs(np.asarray(x, dtype=float)) ** (p - 1) * np.sign(np.asarray(x, dtype=float))
+            return spectra.SubgradientSet(p * deg * phi)
+        return spectra.SubgradientSet(*_abs_subgrad_terms(x, deg))
+
+    return G, G_sub
+
+
+def polytope_gap_lp_by_rows(U, V, lam):
+    """The residual LP's inputs (c, A_ub, b_ub, bounds) as
+    ``spectra.polytope_gap`` built them, at sets without hull points: a
+    column per U segment, per V segment and for eps, and the rows
+    +-(u - lam v)_i <= eps built one by one."""
+    n = U.n
+    mF, mG = U.segments.shape[0], V.segments.shape[0]
+    nv = mF + mG + 1
+    const = U.center - lam * V.center
+
+    def row(i, sign):
+        r = np.zeros(nv)
+        r[:mF] = sign * U.segments[:, i]
+        r[mF:mF + mG] = -sign * lam * V.segments[:, i]
+        r[nv - 1] = -1.0
+        return r
+
+    A_ub, b_ub = [], []
+    for i in range(n):
+        A_ub.append(row(i, 1.0))
+        b_ub.append(-const[i])
+        A_ub.append(row(i, -1.0))
+        b_ub.append(const[i])
+    c = np.zeros(nv)
+    c[nv - 1] = 1.0
+    return c, np.array(A_ub), np.array(b_ub), [(-1.0, 1.0)] * (mF + mG) + [(0.0, None)]
 
 
 def chemical_pair_with_edge_terms(H, p):

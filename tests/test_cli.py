@@ -1,6 +1,7 @@
 """Input parsing, round trips, command dispatch and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,19 @@ def test_cmd_spectrum_tensor_cw_tells_the_file_by_its_header(tmp_path, capsys):
     for name, text in (("edge.txt", "3 3\n1 2 3 1\n"), ("edge.uh", "3\n1 2 3\n")):
         rc = main(["spectrum", "--mode", "tensor-cw", "--input", write(tmp_path, name, text)])
         assert rc == 0 and "lambda_max = 2" in capsys.readouterr().out, name
+
+
+def test_cmd_spectrum_tensor_cw_refuses_a_zero_row(tmp_path, capsys):
+    # vertex 4 is in no entry: its ratio became 0 / 0, and the run printed
+    # certificate=[nan, nan] with a RuntimeWarning and exit 3
+    path = write(tmp_path, "t.tensor", "3 4\n1 2 3 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spectrum", "--mode", "tensor-cw", "--input", path])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"{path}: row 3 of C is zero (vertex 4 counting from 1), " \
+        "so the Collatz-Wielandt ratio there becomes 0 / 0\n"
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--pair", "plap"], ["cheeger", "--tol", "1"]])

@@ -25,8 +25,9 @@ from homext.spectra import (CWReport, HomogeneousPair, SubgradientSet,
 from homext.structures import (ChemicalHypergraph, WeightedGraph,
                                adjacency_tensor)
 
-from reference_spectra import (chemical_pair_with_edge_terms, compose_odd_linear,
-                               dinkelbach_two_callbacks, inner_descent_two_callbacks)
+from reference_spectra import (chemical_pair_with_edge_terms, closure_graph_pair,
+                               compose_odd_linear, dinkelbach_two_callbacks,
+                               inner_descent_two_callbacks)
 
 
 # -- Jacobi eigensolver -------------------------------------------------------
@@ -866,9 +867,9 @@ def test_ternary_matches_residual_first_reference():
         g = WeightedGraph(W)
         hyp.assume(np.all(g.degrees > 0))
         pair = one_laplacian_pair(g, signless=signless)
-        assert (pair.exact_F is None) == (halves and any(w % 2 for w in ws))
+        assert (pair.F.int_weights is None) == (halves and any(w % 2 for w in ws))
         got = ternary_eigen_enumerate(pair, n, tol=tol)
-        want = ternary_residual_first(pair, n, tol=tol)
+        want = ternary_residual_first(closure_graph_pair(g, 1.0, signless), n, tol=tol)
         assert _spectrum_fields(got) == _spectrum_fields(want)
 
     check()
@@ -881,7 +882,7 @@ def test_ternary_composite_path_matches_residual_first_reference():
                       [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.0, 2.0]])]
     for M in maps:
         comp = compose_odd_linear(one_laplacian_pair(WeightedGraph.path(4)), M)
-        assert comp.exact_F is None
+        assert not isinstance(comp.F, spectra.PowerSum)
         for tol in (1e-8, 0.2):
             got = ternary_eigen_enumerate(comp, 4, tol=tol)
             want = ternary_residual_first(comp, 4, tol=tol)
@@ -897,7 +898,8 @@ def test_ternary_large_tol_keeps_distinct_exact_eigenvalues():
     for tol in (0.2, 0.3):
         got = ternary_eigen_enumerate(pair, 5, tol=tol)
         assert got.eigenvalues == [Fraction(0), Fraction(3, 4), Fraction(1)]
-        assert _spectrum_fields(got) == _spectrum_fields(ternary_residual_first(pair, 5, tol=tol))
+        want = ternary_residual_first(closure_graph_pair(WeightedGraph.complete(5), 1.0), 5, tol=tol)
+        assert _spectrum_fields(got) == _spectrum_fields(want)
 
 
 def test_ternary_spectrum_at_small_tol_within_large_tol():
@@ -916,10 +918,9 @@ def test_ternary_spectrum_at_small_tol_within_large_tol():
                                        Fraction(1)]
 
 
-def _random_subgradient_set(rng, n, segments, points):
+def _random_subgradient_set(rng, n, segments):
     return SubgradientSet(rng.integers(-3, 4, n) * rng.uniform(0.5, 1.5),
-                          rng.normal(size=(segments, n)) if segments else None,
-                          rng.normal(size=(points, n)) if points else None)
+                          rng.normal(size=(segments, n)) if segments else None)
 
 
 def _coordinate_rows(n):
@@ -932,8 +933,8 @@ def test_interval_gap_lower_bounds_polytope_gap():
     rng = np.random.default_rng(5)
     for _ in range(150):
         n = int(rng.integers(1, 6))
-        U = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
-        V = _random_subgradient_set(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+        U = _random_subgradient_set(rng, n, int(rng.integers(0, 4)))
+        V = _random_subgradient_set(rng, n, int(rng.integers(0, 4)))
         lam = float(rng.choice([0.0, 0.5, 1.0, -0.75, 2.5]))
         bound = spectra._dual_gap(U, V, lam, _coordinate_rows(n))
         assert 0.0 <= bound <= spectra.polytope_gap(U, V, lam) + 1e-9
@@ -958,32 +959,19 @@ def test_interval_gap_is_exact_on_one_coordinate_boxes():
     E = _coordinate_rows(1)
     assert spectra._dual_gap(U, V, 0.5, E) == 0.5
     assert spectra._dual_gap(U, V, 1.5, E) == 0.0           # [-0.5, 1.5] holds 0
-    P = SubgradientSet([0.0], points=[[2.0], [4.0]])         # conv{2, 4}
-    assert spectra._dual_gap(P, V, 1.0, E) == 1.0
 
 
 def _highs_gap(optimize, U, V, lam):
     """min ||u - lam v||_inf over U x V by HiGHS; the variables are U's
-    segment and point weights, V's, and the bound eps on every coordinate."""
-    parts = [(U.segments, 1.0, (-1.0, 1.0)), (U.points, 1.0, (0.0, None)),
-             (V.segments, -lam, (-1.0, 1.0)), (V.points, -lam, (0.0, None))]
-    B = np.hstack([f * M.T for M, f, _ in parts])
-    bounds = [b for M, _, b in parts for _ in range(M.shape[0])] + [(0.0, None)]
+    segment weights, V's, and the bound eps on every coordinate."""
+    B = np.hstack([U.segments.T, -lam * V.segments.T])
+    bounds = [(-1.0, 1.0)] * B.shape[1] + [(0.0, None)]
     const = U.center - lam * V.center
     ones = np.ones((U.n, 1))
     A_ub = np.vstack([np.hstack([B, -ones]), np.hstack([-B, -ones])])
-    A_eq, col = [], 0
-    for M, _, b in parts:
-        if b[1] is None and M.shape[0]:                         # point weights sum to 1
-            row = np.zeros(B.shape[1] + 1)
-            row[col:col + M.shape[0]] = 1.0
-            A_eq.append(row)
-        col += M.shape[0]
     c = np.zeros(B.shape[1] + 1)
     c[-1] = 1.0
     res = optimize.linprog(c, A_ub=A_ub, b_ub=np.concatenate([-const, const]),
-                           A_eq=np.array(A_eq) if A_eq else None,
-                           b_eq=np.ones(len(A_eq)) if A_eq else None,
                            bounds=bounds, method="highs")
     assert res.status == 0
     return res.fun
@@ -998,10 +986,9 @@ def test_dual_gap_is_a_lower_bound_on_the_highs_checked_lp():
     entry = st.floats(-3, 3, allow_nan=False)
 
     def subgradient_set(draw, n):
-        m, r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        m = draw(st.integers(0, 3))
         grid = st.lists(entry, min_size=n, max_size=n)
-        return SubgradientSet(draw(grid), [draw(grid) for _ in range(m)] or None,
-                              [draw(grid) for _ in range(r)] or None)
+        return SubgradientSet(draw(grid), [draw(grid) for _ in range(m)] or None)
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(st.integers(1, 4), st.sampled_from(["negative", "zero", "positive"]),
@@ -1021,6 +1008,10 @@ def test_ternary_rows_are_every_nonzero_ternary_direction():
     for n in range(1, 5):
         Y = spectra._ternary_rows(n)
         assert np.allclose(np.abs(Y).sum(axis=1), 1.0)
+        # product order, column-major, as the dual bound's sums were taken
+        assert [tuple(r) for r in np.sign(Y).astype(int).tolist()] == \
+            [d for d in product((-1, 0, 1), repeat=n) if any(d)]
+        assert Y.flags.f_contiguous
         signs = {tuple(np.sign(y).astype(int)) for y in Y}
         assert signs == set(product((-1, 0, 1), repeat=n)) - {(0,) * n}
         assert Y.shape[0] == 3 ** n - 1
@@ -1076,9 +1067,10 @@ def test_ternary_matches_interval_then_lp_reference():
         g = WeightedGraph(W)
         hyp.assume(np.all(g.degrees > 0))
         pair = one_laplacian_pair(g, signless=signless)
+        ref = closure_graph_pair(g, 1.0, signless)
         for tol in (1e-8, 0.2, 0.3):
             got = ternary_eigen_enumerate(pair, n, tol=tol)
-            want = ternary_interval_then_lp(pair, n, tol=tol)
+            want = ternary_interval_then_lp(ref, n, tol=tol)
             assert _spectrum_reprs(got) == _spectrum_reprs(want)
 
     check()
@@ -1097,7 +1089,7 @@ def test_near_integral_weights_give_a_float_pair():
     # and the ternary eigenvalues are the float ratios
     W = np.array([[0, 10000.09, 0], [10000.09, 0, 20000.18], [0, 20000.18, 0]])
     pair = one_laplacian_pair(WeightedGraph(W))
-    assert pair.exact_F is None and pair.exact_G is None
+    assert pair.F.int_weights is None and pair.G.int_weights is None
     spec = ternary_eigen_enumerate(pair, 3)
     assert spec.eigenvalues and all(type(v) is float for v in spec.eigenvalues)
     for v, digits in spec.witnesses.items():
@@ -1105,17 +1097,155 @@ def test_near_integral_weights_give_a_float_pair():
 
 
 def test_exact_pair_integer_sums_match_fractions():
+    # the exact values of every integer point in one product, as Python ints
     from reference_spectra import fraction_exact_pair
     g = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     W = g.W.copy()
     W[0, 1] = W[1, 0] = 3.0
     g = WeightedGraph(W)
-    inputs = [(1, -1, 0, 1), (0, 0, 0, 1), (True, False, True, True),
-              (Fraction(1, 3), Fraction(-2, 5), 0, 1), (0.5, -1.25, 0.1, 2.0),
-              np.array([1, -1, 0, 1], dtype=np.int64), np.array([0.5, -0.25, 1.0, 3.0])]
+    X = np.array([(1, -1, 0, 1), (0, 0, 0, 1), (1, 0, 1, 1), (2, -3, 0, 1), (5, 5, -5, 7)])
     for signless in (False, True):
         pair = one_laplacian_pair(g, signless=signless)
         refF, refG = fraction_exact_pair(g, signless=signless)
-        for x in inputs:
-            for got, want in ((pair.exact_F(x), refF(x)), (pair.exact_G(x), refG(x))):
-                assert got == want and type(got) is type(want) is Fraction, (x, got, want)
+        for kernel, ref in ((pair.F, refF), (pair.G, refG)):
+            got = kernel.exact(X)
+            assert all(type(v) is int for v in got)
+            assert got == [ref(x.tolist()) for x in X]
+
+
+def test_power_sum_pairs_match_the_closure_references():
+    # F and G of the graph pairs and the chemical pair's G against their
+    # per-pair closures: values, subgradient centers and segments bit for
+    # bit; at p = 1 the exact values at every sign-canonical ternary point
+    # are the Fraction sums (weights of 2^63 and more stay exact)
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from homext.spectra import sign_canonical_box
+    from homext.verify import rand_chemical
+    from reference_spectra import closure_chemical_G, fraction_exact_pair
+    weights = {"integral": st.integers(0, 3).map(float),
+               "huge": st.integers(0, 3).map(lambda k: k * 2.0 ** 63),
+               "half": st.integers(0, 6).map(lambda k: 0.5 * k),
+               "float": st.one_of(st.just(0.0), st.floats(0.1, 3.0))}
+    coordinate = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.1 + 0.2]),
+                           st.floats(-2.0, 2.0))
+
+    def same(a, b):
+        return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 5), st.sampled_from(sorted(weights)), st.booleans(),
+               st.sampled_from([1.0, 1.5, 3.0]), st.data())
+    def check(n, kind, signless, p, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ws = data.draw(st.lists(weights[kind], min_size=len(pairs), max_size=len(pairs)))
+        W = np.zeros((n, n))
+        for (i, j), w in zip(pairs, ws):
+            W[i, j] = W[j, i] = w
+        g = WeightedGraph(W)
+        pair = spectra._graph_pair(g, p, 1 if signless else -1)
+        ref = closure_graph_pair(g, p, signless)
+        for _ in range(4):
+            x = np.array(data.draw(st.lists(coordinate, min_size=n, max_size=n)))
+            assert same(pair.F(x), ref.F(x)) and same(pair.G(x), ref.G(x))
+            for got, want in ((pair.F_subgrad(x), ref.F_subgrad(x)),
+                              (pair.G_subgrad(x), ref.G_subgrad(x))):
+                assert same(got.segments, want.segments)
+                assert same(got.center, want.center)
+        exact = p == 1 and g.integral
+        assert (pair.F.int_weights is not None) == (pair.G.int_weights is not None) == exact
+        if exact:
+            X = sign_canonical_box(n, 1)
+            refF, refG = fraction_exact_pair(g, signless=signless)
+            assert pair.F.exact(X) == [refF(x) for x in X.tolist()]
+            assert pair.G.exact(X) == [refG(x) for x in X.tolist()]
+
+    check()
+    rng = np.random.default_rng(41)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 0.1 + 0.2])
+    for _ in range(20):
+        H = rand_chemical(rng, 4, 7)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            pair, (G, G_sub) = chemical_plap_pair(H, p), closure_chemical_G(H, p)
+            for x in [rng.choice(levels, H.n) for _ in range(4)] + [rng.normal(size=H.n)]:
+                assert same(pair.G(x), G(x))
+                got, want = pair.G_subgrad(x), G_sub(x)
+                assert same(got.center, want.center) and same(got.segments, want.segments)
+
+
+def test_polytope_gap_builds_the_row_by_row_lp(monkeypatch):
+    # the same LP as the row-by-row build, column for column, on sets of 0
+    # to 3 segments; no equality rows
+    from reference_spectra import polytope_gap_lp_by_rows
+    from homext.simplex import linprog
+    seen = []
+
+    def capture(c, **kw):
+        seen.append((c, kw))
+        return linprog(c, **kw)
+
+    monkeypatch.setattr(spectra, "linprog", capture)
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        U = _random_subgradient_set(rng, n, int(rng.integers(0, 4)))
+        V = _random_subgradient_set(rng, n, int(rng.integers(0, 4)))
+        lam = float(rng.choice([0.0, -0.0, 0.5, 1.0, -0.75, 2.5]))
+        seen.clear()
+        spectra.polytope_gap(U, V, lam)
+        if U.is_singleton() and V.is_singleton():
+            assert not seen
+            continue
+        (c, kw), = seen
+        c_ref, A_ref, b_ref, bounds_ref = polytope_gap_lp_by_rows(U, V, lam)
+        assert set(kw) == {"A_ub", "b_ub", "bounds"}
+        assert c.tobytes() == c_ref.tobytes()
+        assert kw["A_ub"].shape == A_ref.shape and kw["A_ub"].tobytes() == A_ref.tobytes()
+        assert kw["b_ub"].tobytes() == b_ref.tobytes()
+        assert kw["bounds"] == bounds_ref
+
+
+def test_graph_plap_pair_at_p_1_is_the_one_laplacian_pair():
+    # the CLI's Dinkelbach builds every p >= 1 through graph_plap_pair
+    rng = np.random.default_rng(47)
+    for g in (WeightedGraph.complete(5), WeightedGraph.path(4),
+              WeightedGraph.from_edges(4, [(0, 1, 1.5), (1, 2, 0.25), (2, 3, 2.0)])):
+        plap, one = graph_plap_pair(g, 1.0), one_laplacian_pair(g)
+        for _ in range(10):
+            x = rng.choice([-1.0, 0.0, 0.5, 1.0], g.n)
+            assert plap.F(x) == one.F(x) and plap.G(x) == one.G(x)
+            for a, b in ((plap.F_subgrad(x), one.F_subgrad(x)), (plap.G_subgrad(x), one.G_subgrad(x))):
+                assert a.center.tobytes() == b.center.tobytes()
+                assert a.segments.tobytes() == b.segments.tobytes()
+        assert _spectrum_reprs(ternary_eigen_enumerate(plap, g.n)) == \
+            _spectrum_reprs(ternary_eigen_enumerate(one, g.n))
+    for p in (0.5, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            graph_plap_pair(WeightedGraph.path(3), p)
+
+
+def test_cw_refuses_a_zero_row_of_a_nonzero_pair():
+    # the zero row's coordinate decays to 0 and its ratio became 0 / 0: nan
+    # bounds with a RuntimeWarning and converged=False
+    from homext.structures import SymmetricTensor
+    T = SymmetricTensor(3, 4)
+    T[0, 1, 2] = 1.0
+    with pytest.raises(ValueError, match="row 3 of C is zero"):
+        collatz_wielandt_max(T)
+    W = WeightedGraph.from_edges(4, [(1, 2), (2, 3)]).W
+    with pytest.raises(ValueError, match="row 0 of C is zero"):
+        collatz_wielandt_max(W)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = collatz_wielandt_max(np.zeros((3, 3)))       # C = 0: lambda = 0
+    assert rep.lam == 0.0 and rep.converged
+
+
+def test_sign_canonical_box_is_the_product_loop_filtered():
+    # one of each pair +-x, in itertools.product order, as Python ints
+    for n in range(0, 6):
+        for N in (1, 2, 3):
+            want = [d for d in product(range(-N, N + 1), repeat=n)
+                    if any(d) and next(v for v in d if v) > 0]
+            got = [tuple(r) for r in spectra.sign_canonical_box(n, N).tolist()]
+            assert got == want and all(type(v) is int for r in got for v in r), (n, N)
