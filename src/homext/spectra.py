@@ -163,7 +163,9 @@ class PowerSum:
       The identity is the fast path: t is x, M^T c is c itself and the
       powers are one numpy power over x.
     - With p = 1 and every weight an integer, ``exact(X)`` gives the values
-      at the integer points X (one per row) as Python ints.
+      at the integer points X (one per row) as Python ints, and
+      ``box_subgradients(X)`` the subgradient sets there as two arrays, the
+      centers and the |segment| sums, exact while ``exact_sums`` holds.
     """
 
     def __init__(self, p: float, weights, M):
@@ -218,6 +220,25 @@ class PowerSum:
         """The values at the integer points X (rows) as Python ints; for
         p = 1 and integer weights, ``int_weights``."""
         return (np.abs(np.asarray(X) @ self.M.T) @ self.int_weights).tolist()
+
+    @property
+    def exact_sums(self) -> bool:
+        """p = 1, integer weights and sum_r |w_r M_ri| < 2^53 for every
+        column i: every float sum of a subgradient's terms is then a sum of
+        integers below 2^53, exact in any order."""
+        if self.int_weights is None:
+            return False
+        totals = np.abs(self.M).T @ np.abs(self.int_weights)
+        return max(totals.tolist(), default=0) < 2 ** 53
+
+    def box_subgradients(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """For p = 1, the subgradient sets at the integer points X (rows) as
+        two arrays: row k of the first is ``subgradient(X[k]).center`` and of
+        the second the sum of |segments| per coordinate, sum_r w_r |M_ri|
+        over the rows with (M x)_r = 0.  With ``exact_sums`` both equal the
+        per-point floats exactly."""
+        T = np.asarray(X) @ self.M.T
+        return (self.w * np.sign(T)) @ self.M, ((T == 0) * self.w) @ np.abs(self.M)
 
 
 @dataclass
@@ -782,6 +803,31 @@ class TernarySpectrum:
     tested: int
 
 
+def _weight_scale(F) -> float:
+    """2^-e, e the binary exponent of F's largest weight when F is a
+    ``PowerSum`` with a positive weight, so that the largest weight times it
+    lies in [1, 2); 1.0 otherwise.  Multiplying by it is exact, so deciding
+    on the scaled subgradient sets makes the spectrum of a pair independent
+    of a power-of-2 scale of its weights."""
+    top = float(F.w.max(initial=0.0)) if isinstance(F, PowerSum) else 0.0
+    return math.ldexp(1.0, 1 - math.frexp(top)[1]) if top > 0 else 1.0
+
+
+def _box_rejections(F: PowerSum, G: PowerSum, X, lams, tol: float,
+                    scale: float) -> np.ndarray:
+    """``_dual_gap(U, V, lam, E) > tol`` at the rows E = +-e_i for every
+    point x_k of X at once, with U and V the subgradient sets of F and G at
+    x_k times ``scale`` and lam = lams[k].  For F and G with ``exact_sums``
+    every center and segment sum is the integer that the per-point sets
+    hold, and each later step is the same elementwise operation, in the
+    same order, as ``_dual_gap``'s; so is every bound, and every decision."""
+    CU, SU = (scale * A for A in F.box_subgradients(X))
+    CV, SV = (scale * A for A in G.box_subgradients(X))
+    lam = np.asarray(lams, dtype=float)[:, None]
+    L = np.abs(CU - lam * CV) - (SU + np.abs(lam) * SV)
+    return L.max(axis=1, initial=0.0) > tol
+
+
 def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
                             tol: float = 1e-8) -> TernarySpectrum:
     """Certified eigenvalues with witnesses in {-1,0,1}^n.
@@ -790,7 +836,11 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     lambda = F(x)/G(x).  When F and G are ``PowerSum``s with exact values
     (p = 1, integer weights), lambda is a Fraction of the two Python ints
     that one product gives for every vector at once; otherwise it is the
-    float ratio.  Each vector is then decided in this order:
+    float ratio.  Residuals are decided on dF(x) and dG(x) times 2^-e, e the
+    binary exponent of F's largest weight (``_weight_scale``), so that a
+    power-of-2 scale of the weights moves no decision; the product is exact
+    and does nothing for unit weights.  Each vector is then decided in this
+    order:
 
     1. lambda already found (exactly for exact pairs, within ``tol`` for
        float pairs): skipped before any subgradient is built;
@@ -798,8 +848,13 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
        min ||u - lambda v||_inf over dF(x) x dG(x) exceeds ``tol``: first at
        the rows +-e_i (an interval bound per coordinate), then at every
        ternary row.  Each row gives a lower bound on the residual, so the
-       rejection is certified.  For 1-Laplacians (plain and signless) the
-       bound at ternary rows equals the residual: the dual objective is
+       rejection is certified.  When F and G have ``exact_sums`` (integer
+       weights whose column sums stay below 2^53) the +-e_i bound of the
+       whole box is one pass of array arithmetic (``_box_rejections``),
+       equal to the per-vector bound vector by vector; only its survivors
+       build subgradient sets (it is read before the skip of step 1, which
+       then hashes fewer Fractions).  For 1-Laplacians (plain and signless)
+       the bound at ternary rows equals the residual: the dual objective is
        linear on the chambers of the arrangement {y_i = +-y_j, y_i = 0},
        whose rays are ternary, so its maximum is at a ternary row and only
        eigenpairs reach the LP;
@@ -816,26 +871,34 @@ def ternary_eigen_enumerate(pair: HomogeneousPair, n: int,
     F, G = pair.F, pair.G
     sums = isinstance(F, PowerSum) and isinstance(G, PowerSum)
     X = sign_canonical_box(n, 1)
+    box = list(map(tuple, X.tolist()))
     exact = (list(map(Fraction, F.exact(X), G.exact(X)))
              if sums and F.int_weights is not None and G.int_weights is not None else None)
+    if exact is not None:
+        keys = exact
+        lams = list(map(float, exact))
+        seen = set(exact)
+    else:
+        keys = lams = [pair.ratio(np.array(d, dtype=float)) for d in box]
+        seen = {round(lam, 12) for lam in lams}
+    scale = _weight_scale(F)
+    rejected = (_box_rejections(F, G, X, lams, tol, scale).tolist()
+                if exact is not None and F.exact_sums and G.exact_sums else None)
     found: dict = {}
-    seen = set()
     E, Y = np.vstack([np.eye(n), -np.eye(n)]), _ternary_rows(n)
-    for k, digits in enumerate(map(tuple, X.tolist())):
+    for k, digits in enumerate(box):
+        if rejected is not None and rejected[k]:     # no Fraction lookup for these
+            continue
+        key, lam = keys[k], lams[k]
+        if (key in found if exact is not None
+                else any(abs(v - lam) <= tol for v in found)):
+            continue
         x = np.array(digits, dtype=float)
-        if exact is not None:
-            key = exact[k]
-            lam = float(key)
-            seen.add(key)
-            if key in found:
-                continue
-        else:
-            key = lam = pair.ratio(x)
-            seen.add(round(lam, 12))
-            if any(abs(v - lam) <= tol for v in found):
-                continue
         U, V = pair.F_subgrad(x), pair.G_subgrad(x)
-        if _dual_gap(U, V, lam, E) > tol or _dual_gap(U, V, lam, Y) > tol:
+        if scale != 1.0:
+            U = SubgradientSet(U.center * scale, U.segments * scale)
+            V = SubgradientSet(V.center * scale, V.segments * scale)
+        if rejected is None and _dual_gap(U, V, lam, E) > tol or _dual_gap(U, V, lam, Y) > tol:
             continue
         if polytope_gap(U, V, lam) <= tol:
             found[key] = digits

@@ -1,7 +1,8 @@
 """Test-side references for the spectral layer: the cyclic Jacobi loop that
 copied its rows and columns, the round-robin Jacobi schedule applied one
 rotation at a time, the ternary enumeration that ran the residual LP on
-every vector and the one that rejected by coordinate intervals first, the
+every vector, the one that rejected by coordinate intervals first and the
+one that built every vector's subgradient sets for the +-e_i bound, the
 graph pairs and the chemical pair's G as per-pair closures (with the
 one-Laplacian's exact F and G), the one-Laplacian's exact F and G in
 Fraction arithmetic, the residual LP as it was built with hull points, a
@@ -111,11 +112,19 @@ def jacobi_eigh_one_rotation_at_a_time(S):
     return w[order], V[:, order]
 
 
-def ternary_residual_first(pair, n, tol=1e-8):
+def scaled_subgradients(pair, x, scale):
+    """dF(x) and dG(x), each center and segment times ``scale``."""
+    U, V = pair.F_subgrad(x), pair.G_subgrad(x)
+    return (spectra.SubgradientSet(U.center * scale, U.segments * scale),
+            spectra.SubgradientSet(V.center * scale, V.segments * scale))
+
+
+def ternary_residual_first(pair, n, tol=1e-8, scale=1.0):
     """``spectra.ternary_eigen_enumerate`` as it was before the closeness
     skip and the interval bound: the residual LP on every vector, then an
     exact eigenvalue kept unless already found, and a float one unless
-    within ``tol`` of one found."""
+    within ``tol`` of one found.  Residuals are taken on dF(x) and dG(x)
+    times ``scale``."""
     found = {}
     seen = set()
     tested = 0
@@ -134,7 +143,7 @@ def ternary_residual_first(pair, n, tol=1e-8):
             lam_exact = None
             lam = pair.ratio(x)
         seen.add(lam_exact if lam_exact is not None else round(lam, 12))
-        if spectra.eigen_residual(pair, lam, x) <= tol:
+        if spectra.polytope_gap(*scaled_subgradients(pair, x, scale), lam) <= tol:
             if lam_exact is not None:
                 if lam_exact not in found:
                     found[lam_exact] = digits
@@ -154,11 +163,11 @@ def interval_gap(U, V, lam):
     return max(float(np.max(np.abs(c) - r)), 0.0)
 
 
-def ternary_interval_then_lp(pair, n, tol=1e-8):
+def ternary_interval_then_lp(pair, n, tol=1e-8, scale=1.0):
     """``spectra.ternary_eigen_enumerate`` as it was before the dual bound:
     a lambda already found is skipped, a vector whose coordinate intervals
     stay more than ``tol`` away from 0 is rejected, and the residual LP
-    decides the rest."""
+    decides the rest, on dF(x) and dG(x) times ``scale``."""
     found = {}
     seen = set()
     tested = 0
@@ -179,7 +188,7 @@ def ternary_interval_then_lp(pair, n, tol=1e-8):
         seen.add(lam_exact if lam_exact is not None else round(lam, 12))
         if lam_exact in found or lam_exact is None and any(abs(k - lam) <= tol for k in found):
             continue
-        U, V = pair.F_subgrad(x), pair.G_subgrad(x)
+        U, V = scaled_subgradients(pair, x, scale)
         if interval_gap(U, V, lam) > tol:
             continue
         if spectra.polytope_gap(U, V, lam) <= tol:
@@ -187,6 +196,42 @@ def ternary_interval_then_lp(pair, n, tol=1e-8):
     vals = sorted(found.keys(), key=float)
     return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
                                    getattr(pair, "exact_for_pair", False), tested)
+
+
+def ternary_per_vector(pair, n, tol=1e-8, scale=1.0):
+    """``spectra.ternary_eigen_enumerate`` as it was before the box-wide
+    +-e_i pass: every vector not skipped builds dF(x) and dG(x) (times
+    ``scale``) and is tested by ``_dual_gap`` at the rows +-e_i, then at
+    every ternary row, and the residual LP decides the rest."""
+    F, G = pair.F, pair.G
+    sums = isinstance(F, spectra.PowerSum) and isinstance(G, spectra.PowerSum)
+    X = spectra.sign_canonical_box(n, 1)
+    exact = (list(map(Fraction, F.exact(X), G.exact(X)))
+             if sums and F.int_weights is not None and G.int_weights is not None else None)
+    found = {}
+    seen = set()
+    E, Y = np.vstack([np.eye(n), -np.eye(n)]), spectra._ternary_rows(n)
+    for k, digits in enumerate(map(tuple, X.tolist())):
+        x = np.array(digits, dtype=float)
+        if exact is not None:
+            key = exact[k]
+            lam = float(key)
+            seen.add(key)
+            if key in found:
+                continue
+        else:
+            key = lam = pair.ratio(x)
+            seen.add(round(lam, 12))
+            if any(abs(v - lam) <= tol for v in found):
+                continue
+        U, V = scaled_subgradients(pair, x, scale)
+        if spectra._dual_gap(U, V, lam, E) > tol or spectra._dual_gap(U, V, lam, Y) > tol:
+            continue
+        if spectra.polytope_gap(U, V, lam) <= tol:
+            found[key] = digits
+    vals = sorted(found.keys(), key=float)
+    return spectra.TernarySpectrum(vals, {v: found[v] for v in vals}, seen,
+                                   sums and F.ternary_cones and G.ternary_cones, len(X))
 
 
 def fraction_exact_pair(graph, signless=False):

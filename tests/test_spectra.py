@@ -2,6 +2,7 @@
 Dinkelbach against the exact quadratic solver, Collatz-Wielandt, ternary
 enumeration, projections, and the duality reports."""
 
+import math
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -841,6 +842,13 @@ def test_jacobi_agrees_with_cyclic_order_and_lapack():
         assert np.abs(S @ V - V * w).max() <= tol + spectra.JACOBI_SWEEP_TOL * scale, S
 
 
+def _weight_scale(g):
+    """2^-e, e the binary exponent of g's largest edge weight: the scale
+    on which the ternary enumeration decides residuals."""
+    top = max((w for _, _, w in g.edges()), default=0.0)
+    return 2.0 ** (1 - math.frexp(top)[1]) if top > 0 else 1.0
+
+
 def _spectrum_fields(s):
     """Every TernarySpectrum field with the type of each value."""
     return ([(v, type(v)) for v in s.eigenvalues],
@@ -869,7 +877,8 @@ def test_ternary_matches_residual_first_reference():
         pair = one_laplacian_pair(g, signless=signless)
         assert (pair.F.int_weights is None) == (halves and any(w % 2 for w in ws))
         got = ternary_eigen_enumerate(pair, n, tol=tol)
-        want = ternary_residual_first(closure_graph_pair(g, 1.0, signless), n, tol=tol)
+        want = ternary_residual_first(closure_graph_pair(g, 1.0, signless), n, tol=tol,
+                                      scale=_weight_scale(g))
         assert _spectrum_fields(got) == _spectrum_fields(want)
 
     check()
@@ -1070,7 +1079,7 @@ def test_ternary_matches_interval_then_lp_reference():
         ref = closure_graph_pair(g, 1.0, signless)
         for tol in (1e-8, 0.2, 0.3):
             got = ternary_eigen_enumerate(pair, n, tol=tol)
-            want = ternary_interval_then_lp(ref, n, tol=tol)
+            want = ternary_interval_then_lp(ref, n, tol=tol, scale=_weight_scale(g))
             assert _spectrum_reprs(got) == _spectrum_reprs(want)
 
     check()
@@ -1082,6 +1091,134 @@ def test_ternary_matches_interval_then_lp_reference():
         for tol in (1e-8, 0.2, 0.3):
             assert _spectrum_reprs(ternary_eigen_enumerate(comp, 4, tol=tol)) == \
                 _spectrum_reprs(ternary_interval_then_lp(comp, 4, tol=tol))
+
+
+def _graph_of(n, ws):
+    """The graph on n vertices with weight ws[k] on the k-th pair i < j."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    W = np.zeros((n, n))
+    for (i, j), w in zip(pairs, ws):
+        W[i, j] = W[j, i] = w
+    return WeightedGraph(W)
+
+
+def test_box_rejections_equal_the_per_vector_dual_gap():
+    # the +-e_i bound of the whole box against _dual_gap at each vector, on
+    # integer weights up to and across the 2^53 bound on the column sums
+    # past which the box-wide pass is not used
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from homext.spectra import PowerSum, sign_canonical_box
+    weight = st.one_of(st.integers(0, 5), st.integers(2 ** 50, 2 ** 53 + 8))
+    E = _coordinate_rows
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 6), st.booleans(), st.sampled_from([1e-8, 0.2, 1.0]), st.data())
+    def check(n, signless, tol, data):
+        g = _graph_of(n, data.draw(st.lists(weight, min_size=n * (n - 1) // 2,
+                                            max_size=n * (n - 1) // 2)))
+        F = one_laplacian_pair(g, signless=signless).F
+        G = PowerSum(1.0, [float(v) for v in data.draw(
+            st.lists(st.integers(1, 2 ** 53 + 8), min_size=n, max_size=n))], np.eye(n))
+        for K in (F, G):
+            totals = [sum(abs(int(w) * int(m)) for w, m in zip(K.w.tolist(), col))
+                      for col in K.M.T.tolist()]
+            assert K.exact_sums == (max(totals) < 2 ** 53)
+        hyp.assume(F.exact_sums and G.exact_sums)
+        X = sign_canonical_box(n, 1)
+        lams = [float(Fraction(f, d)) for f, d in zip(F.exact(X), G.exact(X))]
+        lams += data.draw(st.lists(st.floats(-3, 3), min_size=len(X), max_size=len(X)))
+        X2 = np.vstack([X, X])
+        scale = data.draw(st.sampled_from([1.0, _weight_scale(g)]))
+        got = spectra._box_rejections(F, G, X2, lams, tol, scale)
+        CU, SU = F.box_subgradients(X2)
+        for k, (x, lam) in enumerate(zip(X2.astype(float), lams)):
+            U, V = F.subgradient(x), G.subgradient(x)
+            assert np.array_equal(CU[k], U.center)
+            assert np.array_equal(SU[k], np.abs(U.segments).sum(axis=0))
+            U = SubgradientSet(U.center * scale, U.segments * scale)
+            V = SubgradientSet(V.center * scale, V.segments * scale)
+            assert got[k] == (spectra._dual_gap(U, V, lam, E(n)) > tol), (g.W, x, lam)
+
+    check()
+
+
+def test_ternary_matches_the_per_vector_enumeration():
+    # the box-wide +-e_i pass changes no field: integral weights on both
+    # sides of the 2^53 bound (past it the per-vector test runs),
+    # half-integral and float weights (always per vector)
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from reference_spectra import ternary_per_vector
+    weights = {"small": st.integers(0, 5).map(float),
+               "huge": st.sampled_from([0.0, 1.0, 2.0 ** 51, 3 * 2.0 ** 51, 2.0 ** 63]),
+               "half": st.integers(0, 6).map(lambda k: 0.5 * k),
+               "float": st.one_of(st.just(0.0), st.floats(0.1, 3.0))}
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 6), st.sampled_from(sorted(weights)), st.booleans(),
+               st.sampled_from([1e-8, 0.2, 0.3]), st.data())
+    def check(n, kind, signless, tol, data):
+        g = _graph_of(n, data.draw(st.lists(weights[kind], min_size=n * (n - 1) // 2,
+                                            max_size=n * (n - 1) // 2)))
+        hyp.assume(np.all(g.degrees > 0))
+        pair = one_laplacian_pair(g, signless=signless)
+        got = ternary_eigen_enumerate(pair, n, tol=tol)
+        want = ternary_per_vector(pair, n, tol=tol, scale=_weight_scale(g))
+        assert _spectrum_reprs(got) == _spectrum_reprs(want)
+        assert repr(got.ratios_seen) == repr(want.ratios_seen)
+
+    check()
+
+
+def test_ternary_spectrum_is_independent_of_a_power_of_2_weight_scale():
+    # residuals are decided on the weights scaled into [1, 2): every weight
+    # times 2^k gives the same eigenvalues and witnesses
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(2, 5), st.booleans(), st.data())
+    def check(n, signless, data):
+        ws = data.draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+        hyp.assume(np.all(_graph_of(n, ws).degrees > 0))
+        spectra_by_k = []
+        for k in (0, 10, 20, 30, 40, 63):
+            pair = one_laplacian_pair(_graph_of(n, [w * 2.0 ** k for w in ws]), signless)
+            spec = ternary_eigen_enumerate(pair, n)
+            spectra_by_k.append((spec.eigenvalues, spec.witnesses))
+        assert all(s == spectra_by_k[0] for s in spectra_by_k), (ws, signless)
+
+    check()
+
+
+def test_ternary_lp_and_ternary_row_counts(monkeypatch):
+    # the +-e_i pass must reject exactly what the per-vector bound did: a
+    # rejection too many drops an LP, one too few adds a bound at the
+    # ternary rows (K5: 106 bounds at +-e_i before the box-wide pass, the
+    # 6-vertex graph 277)
+    lps, ternary_rows = [], []
+    polytope_gap, dual_gap = spectra.polytope_gap, spectra._dual_gap
+
+    def counting_lp(U, V, lam):
+        lps.append(lam)
+        return polytope_gap(U, V, lam)
+
+    def counting_bound(U, V, lam, Y):
+        ternary_rows.append(Y.shape[0])
+        return dual_gap(U, V, lam, Y)
+
+    monkeypatch.setattr(spectra, "polytope_gap", counting_lp)
+    monkeypatch.setattr(spectra, "_dual_gap", counting_bound)
+    g6 = WeightedGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                                      (0, 3), (1, 4)])
+    for g, want_lps, want_rows in ((WeightedGraph.complete(5), 3, 23), (g6, 5, 41)):
+        lps.clear()
+        ternary_rows.clear()
+        ternary_eigen_enumerate(one_laplacian_pair(g), g.n)
+        assert len(lps) == want_lps
+        assert ternary_rows.count(3 ** g.n - 1) == want_rows
 
 
 def test_near_integral_weights_give_a_float_pair():
